@@ -86,6 +86,15 @@ class TranslationTable:
         return table
 
 
+def _total(values) -> float:
+    """Left-to-right float sum. Not sum(): from Python 3.12 it rounds
+    differently, and the translation table must not depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list[float]:
     """Prior over real source positions for target position j; sums to
     1 - null_prob."""
@@ -95,7 +104,7 @@ def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list
         weights = [
             math.exp(-cfg.lambda_ * abs(i / n_src - j / n_tgt)) for i in range(n_src)
         ]
-    z = sum(weights)
+    z = _total(weights)
     scale = (1.0 - cfg.null_prob) / z
     return [w * scale for w in weights]
 
@@ -132,7 +141,7 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
                     terms.append((NULL_TOKEN, cfg.null_prob * t[NULL_TOKEN][tgt_word]))
                 for i, src_word in enumerate(pair.source):
                     terms.append((src_word, priors[i] * t[src_word][tgt_word]))
-                z = sum(w for _, w in terms)
+                z = _total(w for _, w in terms)
                 ll += math.log(z)
                 for src_word, w in terms:
                     gamma = w / z

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .conllu import Document, Sentence
 from .errors import DataError
-from .perceptron import AveragedPerceptron, predict_with
+from .perceptron import AveragedPerceptron, best_index, compile_rows
 
 SHIFT = "shift"
 _NONE = "<none>"
@@ -100,10 +100,6 @@ class _State:
         self.heads = [0] * (self.n + 1)
         self.deprels = [_NONE] * (self.n + 1)
 
-    def buffer_first(self, offset: int = 0) -> int | None:
-        pos = self.next_buf + offset
-        return pos if pos <= self.n else None
-
     def buffer_empty(self) -> bool:
         return self.next_buf > self.n
 
@@ -135,66 +131,62 @@ class _State:
             raise DataError(f"unknown transition {move!r}")
 
 
-def _valid_moves(state: _State, arc_classes: list[str]) -> list[str]:
-    moves: list[str] = []
-    if not state.buffer_empty():
-        moves.append(SHIFT)
-    if len(state.stack) >= 2:
-        if state.stack[-2] != 0:
-            moves.extend(arc_classes)
-        elif state.buffer_empty():
-            moves.append("right:root")
-    return moves
+def _open_moves(state: _State, every, arcs, shift_only):
+    """The moves open in a non-terminal state, as the caller's `every`
+    (shift and all arc moves), `arcs` or `shift_only`; None when only the
+    final attachment to the root is left."""
+    stack = state.stack
+    if state.buffer_empty():
+        return arcs if stack[-2] != 0 else None
+    if len(stack) >= 2 and stack[-2] != 0:
+        return every
+    return shift_only
 
 
-def _node_feats(state: _State, forms: list[str], tags: list[str]):
-    def form(i: int | None) -> str:
-        if i is None:
-            return _NONE
-        return _ROOT if i == 0 else forms[i - 1]
+def _padded(values: list[str]) -> list[str]:
+    """Node-indexed feature values: the root at 0, the tokens at 1..n, and
+    _NONE at n+1 and n+2 for absent nodes and the slots past the buffer."""
+    return [_ROOT] + values + [_NONE, _NONE]
 
-    def tag(i: int | None) -> str:
-        if i is None:
-            return _NONE
-        return _ROOT if i == 0 else tags[i - 1]
 
+def _node_feats(state: _State, forms: list[str], tags: list[str]) -> list[str]:
+    """Features of a state; `forms` and `tags` come from _padded()."""
     s = state.stack
-    s0 = s[-1] if len(s) > 1 else None
-    s1 = s[-2] if len(s) > 2 else None
-    s2 = s[-3] if len(s) > 3 else None
-    b0 = state.buffer_first(0)
-    b1 = state.buffer_first(1)
-
-    def child(table: dict, node: int | None) -> str:
-        if node is None or node not in table:
-            return _NONE
-        return table[node][1]
-
+    depth = len(s)
+    none = state.n + 1
+    s0 = s[-1] if depth > 1 else none
+    s1 = s[-2] if depth > 2 else none
+    s2 = s[-3] if depth > 3 else none
+    b0 = state.next_buf
+    lc, rc = state.lc, state.rc
+    s0w, s0t = forms[s0], tags[s0]
+    s1w, s1t = forms[s1], tags[s1]
+    b0w, b0t = forms[b0], tags[b0]
     f = [
         "bias",
-        "s0w=" + form(s0),
-        "s0t=" + tag(s0),
-        "s0wt=" + form(s0) + "/" + tag(s0),
-        "s1w=" + form(s1),
-        "s1t=" + tag(s1),
-        "s1wt=" + form(s1) + "/" + tag(s1),
-        "s2t=" + tag(s2),
-        "b0w=" + form(b0),
-        "b0t=" + tag(b0),
-        "b0wt=" + form(b0) + "/" + tag(b0),
-        "b1w=" + form(b1),
-        "b1t=" + tag(b1),
-        "s0s1t=" + tag(s0) + "+" + tag(s1),
-        "s0s1w=" + form(s0) + "+" + form(s1),
-        "s0b0t=" + tag(s0) + "+" + tag(b0),
-        "s1b0t=" + tag(s1) + "+" + tag(b0),
-        "s0s1b0t=" + tag(s0) + "+" + tag(s1) + "+" + tag(b0),
-        "s0lc=" + child(state.lc, s0),
-        "s0rc=" + child(state.rc, s0),
-        "s1lc=" + child(state.lc, s1),
-        "s1rc=" + child(state.rc, s1),
+        "s0w=" + s0w,
+        "s0t=" + s0t,
+        "s0wt=" + s0w + "/" + s0t,
+        "s1w=" + s1w,
+        "s1t=" + s1t,
+        "s1wt=" + s1w + "/" + s1t,
+        "s2t=" + tags[s2],
+        "b0w=" + b0w,
+        "b0t=" + b0t,
+        "b0wt=" + b0w + "/" + b0t,
+        "b1w=" + forms[b0 + 1],
+        "b1t=" + tags[b0 + 1],
+        "s0s1t=" + s0t + "+" + s1t,
+        "s0s1w=" + s0w + "+" + s1w,
+        "s0b0t=" + s0t + "+" + b0t,
+        "s1b0t=" + s1t + "+" + b0t,
+        "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t,
+        "s0lc=" + (lc[s0][1] if s0 in lc else _NONE),
+        "s0rc=" + (rc[s0][1] if s0 in rc else _NONE),
+        "s1lc=" + (lc[s1][1] if s1 in lc else _NONE),
+        "s1rc=" + (rc[s1][1] if s1 in rc else _NONE),
     ]
-    if s0 is not None and s1 is not None:
+    if depth > 2:
         f.append("dist=" + str(min(s0 - s1, 5)))
     return f
 
@@ -220,21 +212,29 @@ class ParserModel:
     labels: list[str] = field(default_factory=list)
     root_label: str = "root"
 
+    def __post_init__(self):
+        # The moves scored (sorted, with "shift"), the weights frozen over
+        # them, and the candidate index lists for _open_moves; never saved.
+        self._moves = sorted(set(self.classes) | {SHIFT})
+        self._rows = compile_rows(self.weights, self._moves)
+        self._every = list(range(len(self._moves)))
+        self._arcs = [i for i, move in enumerate(self._moves) if move != SHIFT]
+        self._shift_only = [self._moves.index(SHIFT)]
+
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
         """Greedy parse; returns 1-based heads and deprels per token."""
-        n = len(forms)
-        state = _State(n=n)
-        arc_classes = [c for c in self.classes if c != SHIFT]
+        state = _State(n=len(forms))
+        pforms, ptags = _padded(forms), _padded(tags)
+        moves, rows = self._moves, self._rows
         while not state.terminal():
-            moves = _valid_moves(state, arc_classes)
-            if moves == ["right:root"]:
-                state.apply("right:root", self.root_label)
-                continue
-            if len(moves) == 1:
-                state.apply(moves[0], self.root_label)
-                continue
-            feats = _node_feats(state, forms, tags)
-            move = predict_with(self.weights, feats, sorted(moves))
+            open_moves = _open_moves(state, self._every, self._arcs, self._shift_only)
+            if open_moves is None:
+                move = "right:root"
+            elif len(open_moves) == 1:
+                move = moves[open_moves[0]]
+            else:
+                feats = _node_feats(state, pforms, ptags)
+                move = moves[best_index(rows, feats, len(moves), open_moves)]
             state.apply(move, self.root_label)
         return state.heads[1:], state.deprels[1:]
 
@@ -293,12 +293,13 @@ def train_parser(
     labels = sorted(label_set) if label_set else ["dep"]
     classes = sorted([SHIFT] + [f"left:{l}" for l in labels] + [f"right:{l}" for l in labels])
     arc_classes = [c for c in classes if c != SHIFT]
+    shift_only = [SHIFT]
 
     model = AveragedPerceptron()
     rng = random.Random(seed)
     order = list(range(len(data)))
     best_uas = -1.0
-    best_weights = None
+    best = None
 
     for _epoch in range(epochs):
         rng.shuffle(order)
@@ -308,15 +309,14 @@ def train_parser(
             for d in range(1, len(heads)):
                 n_children[heads[d]] += 1
             state = _State(n=len(forms))
+            pforms, ptags = _padded(forms), _padded(tags)
             while not state.terminal():
                 truth = oracle_move(state, heads, deprels, n_children)
-                moves = _valid_moves(state, arc_classes)
-                if moves == ["right:root"]:
-                    state.apply(truth, root_label)
-                    continue
-                feats = _node_feats(state, forms, tags)
-                guess = model.predict(feats, sorted(moves))
-                model.update(truth, guess, feats)
+                open_moves = _open_moves(state, classes, arc_classes, shift_only)
+                if open_moves is not None:
+                    feats = _node_feats(state, pforms, ptags)
+                    guess = model.predict(feats, open_moves)
+                    model.update(truth, guess, feats)
                 state.apply(truth, root_label)
         if dev is not None and dev.sentences:
             snapshot = ParserModel(
@@ -332,9 +332,9 @@ def train_parser(
             uas = correct / total
             if uas > best_uas:
                 best_uas = uas
-                best_weights = snapshot.weights
-    if best_weights is None:
-        best_weights = model.averaged()
-    return ParserModel(
-        weights=best_weights, classes=classes, labels=labels, root_label=root_label
-    )
+                best = snapshot
+    if best is None:
+        best = ParserModel(
+            weights=model.averaged(), classes=classes, labels=labels, root_label=root_label
+        )
+    return best

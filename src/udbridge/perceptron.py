@@ -4,7 +4,22 @@ The tick counter advances once per training decision (update() call), also
 when the guess was correct. averaged() returns, for every feature/class,
 the mean of the post-update weight snapshots over all ticks so far; the
 lazy total/timestamp bookkeeping avoids touching untouched weights.
+
+Trained models score through frozen tables: compile_rows() turns a
+feature -> {class: weight} table into class-indexed rows once, and
+best_index() is the one kernel every inference call goes through.
+predict_with() is its reference on the dict form; both sum each class's
+score from 0.0 in feature order and give ties to the earliest class.
 """
+
+from itertools import chain
+
+from .errors import DataError
+
+# feature -> ((class index, weight), ...)
+Rows = dict[str, tuple[tuple[int, float], ...]]
+
+_NUMBERS = {int, float}
 
 
 class AveragedPerceptron:
@@ -15,28 +30,12 @@ class AveragedPerceptron:
         self.ticks = 0
 
     def score(self, features: list[str], weights: dict[str, dict[str, float]] | None = None) -> dict[str, float]:
-        if weights is None:
-            weights = self.weights
-        scores: dict[str, float] = {}
-        for feat in features:
-            row = weights.get(feat)
-            if not row:
-                continue
-            for cls, w in row.items():
-                scores[cls] = scores.get(cls, 0.0) + w
-        return scores
+        return score_with(self.weights if weights is None else weights, features)
 
     def predict(self, features: list[str], classes: list[str]) -> str:
         """Highest-scoring class; ties go to the lexicographically smallest.
         `classes` must be sorted ascending."""
-        scores = self.score(features)
-        best = classes[0]
-        best_score = scores.get(best, 0.0)
-        for cls in classes[1:]:
-            s = scores.get(cls, 0.0)
-            if s > best_score:
-                best, best_score = cls, s
-        return best
+        return predict_with(self.weights, features, classes)
 
     def _shift(self, feat: str, cls: str, delta: float) -> None:
         key = (feat, cls)
@@ -76,8 +75,7 @@ class AveragedPerceptron:
         return out
 
 
-def predict_with(weights: dict[str, dict[str, float]], features: list[str], classes: list[str]) -> str:
-    """Argmax over a frozen weight table; same tie rule as predict()."""
+def score_with(weights: dict[str, dict[str, float]], features: list[str]) -> dict[str, float]:
     scores: dict[str, float] = {}
     for feat in features:
         row = weights.get(feat)
@@ -85,6 +83,13 @@ def predict_with(weights: dict[str, dict[str, float]], features: list[str], clas
             continue
         for cls, w in row.items():
             scores[cls] = scores.get(cls, 0.0) + w
+    return scores
+
+
+def predict_with(weights: dict[str, dict[str, float]], features: list[str], classes: list[str]) -> str:
+    """Argmax over a weight table in dict form: the first of `classes`
+    with the highest score."""
+    scores = score_with(weights, features)
     best = classes[0]
     best_score = scores.get(best, 0.0)
     for cls in classes[1:]:
@@ -92,3 +97,59 @@ def predict_with(weights: dict[str, dict[str, float]], features: list[str], clas
         if s > best_score:
             best, best_score = cls, s
     return best
+
+
+def compile_rows(weights: dict[str, dict[str, float]], classes: list[str]) -> Rows:
+    """Freeze a weight table into rows of (index into `classes`, weight).
+
+    Weights for classes outside `classes` are dropped (no prediction over
+    `classes` reads them), as are rows left empty. Rows with the same
+    classes and weights share one frozen row. A row that is not a dict or
+    a weight that is not a number raises DataError.
+    """
+    row_kinds = set(map(type, weights.values()))
+    if not row_kinds <= {dict}:
+        raise DataError(f"weight rows must be mappings, found {_names(row_kinds - {dict})}")
+    weight_kinds = set(map(type, chain.from_iterable(map(dict.values, weights.values()))))
+    if not weight_kinds <= _NUMBERS:
+        raise DataError(f"weights must be numbers, found {_names(weight_kinds - _NUMBERS)}")
+    index = {cls: i for i, cls in enumerate(classes)}
+    position = index.__getitem__
+    frozen: dict[tuple, tuple[tuple[int, float], ...]] = {}
+    rows: Rows = {}
+    for feat, row in weights.items():
+        key = (*row, *row.values())  # the classes, then their weights
+        pairs = frozen.get(key)
+        if pairs is None:
+            try:
+                pairs = tuple(zip(map(position, row), row.values()))
+            except KeyError:
+                pairs = tuple((index[cls], w) for cls, w in row.items() if cls in index)
+            frozen[key] = pairs
+        if pairs:
+            rows[feat] = pairs
+    return rows
+
+
+def _names(kinds: set[type]) -> str:
+    return ", ".join(sorted(kind.__name__ for kind in kinds))
+
+
+def best_index(rows: Rows, features: list[str], n_classes: int, candidates: list[int] | None = None) -> int:
+    """Index of the highest-scoring class among `candidates` (ascending
+    indices; None means all `n_classes`). Ties go to the earliest index.
+
+    Each class's score is summed with += from 0.0 in feature order, like
+    predict_with, so the same weights pick the same class. Not sum():
+    from Python 3.12 it rounds float totals differently.
+    """
+    scores = [0.0] * n_classes
+    get = rows.get
+    for feat in features:
+        row = get(feat)
+        if row is not None:
+            for i, w in row:
+                scores[i] += w
+    if candidates is None:
+        return scores.index(max(scores))
+    return max(candidates, key=scores.__getitem__)

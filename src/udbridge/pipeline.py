@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .conllu import Document, serialize_conllu
-from .depparser import ParserModel, train_parser
+from .depparser import SHIFT, ParserModel, train_parser
 from .errors import DataError
 from .lemmatizer import EditScript, LemmaRules, train_lemmatizer
-from .tagger import TaggerModel, train_tagger
+from .tagger import ATTRIBUTES, TaggerModel, train_tagger
 from .tokenizer import TokenizerConfig, tokenize
 from .util import short_hash
 
@@ -122,40 +122,89 @@ class PipelineModel:
 
     @classmethod
     def load(cls, path: str) -> "PipelineModel":
+        """Read a model file. Anything malformed, down to a weight that is
+        not a number, raises DataError; the weights are compiled for
+        scoring here."""
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise DataError(f"cannot load model from {path}: {err}") from None
-        if payload.get("format") != MODEL_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise DataError(f"{path}: not a {MODEL_FORMAT} file")
         if payload.get("version") != MODEL_VERSION:
             raise DataError(
                 f"{path}: unsupported model version {payload.get('version')!r}"
             )
+        try:
+            return cls._from_payload(payload)
+        except DataError as err:
+            raise DataError(f"{path}: malformed model: {err}") from None
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "PipelineModel":
+        tok = _field(payload, "tokenizer", dict)
+        tagger = _field(payload, "tagger", dict)
+        tagger_classes = _field(tagger, "classes", dict, "tagger")
+        tagger_weights = _field(tagger, "weights", dict, "tagger")
+        for attr in ATTRIBUTES:
+            _classes(tagger_classes, attr, "tagger classes")
+            _field(tagger_weights, attr, dict, "tagger weights")
+        parser = _field(payload, "parser", dict)
+        parser_classes = _classes(parser, "classes", "parser")
+        if SHIFT not in parser_classes or len(parser_classes) < 2:
+            raise DataError("parser classes need 'shift' and an arc move")
         rules = LemmaRules()
-        for suffix, upos, strip, append, casing, freq in payload["lemmatizer"]:
-            script = EditScript(strip, append, casing)
-            rules.rules.setdefault((suffix, upos), {})[script] = freq
+        for rule in _field(payload, "lemmatizer", list):
+            if type(rule) is not list or list(map(type, rule)) != _RULE_TYPES:
+                raise DataError(f"lemmatizer rule {rule!r} is not [str, str, int, str, str, int]")
+            suffix, upos, strip, append, casing, freq = rule
+            rules.rules.setdefault((suffix, upos), {})[EditScript(strip, append, casing)] = freq
         return cls(
-            tagger=TaggerModel(
-                weights=payload["tagger"]["weights"],
-                classes=payload["tagger"]["classes"],
-            ),
+            tagger=TaggerModel(weights=tagger_weights, classes=tagger_classes),
             lemma_rules=rules,
             parser=ParserModel(
-                weights=payload["parser"]["weights"],
-                classes=payload["parser"]["classes"],
-                labels=payload["parser"]["labels"],
-                root_label=payload["parser"]["root_label"],
+                weights=_field(parser, "weights", dict, "parser"),
+                classes=parser_classes,
+                labels=_strings(parser, "labels", "parser"),
+                root_label=_field(parser, "root_label", str, "parser"),
             ),
             tokenizer_cfg=TokenizerConfig(
-                abbreviations=set(payload["tokenizer"]["abbreviations"]),
-                punctuation=set(payload["tokenizer"]["punctuation"]),
-                terminators=set(payload["tokenizer"]["terminators"]),
+                abbreviations=set(_strings(tok, "abbreviations", "tokenizer")),
+                punctuation=set(_field(tok, "punctuation", str, "tokenizer")),
+                terminators=set(_strings(tok, "terminators", "tokenizer")),
             ),
-            metadata=payload.get("metadata", {}),
+            metadata=_field(payload, "metadata", dict) if "metadata" in payload else {},
         )
+
+
+_RULE_TYPES = [str, str, int, str, str, int]
+
+
+def _field(section: dict, key: str, kind: type, where: str = ""):
+    """section[key], which must be a `kind`."""
+    name = f"{where} {key!r}" if where else repr(key)
+    if key not in section:
+        raise DataError(f"missing {name}")
+    value = section[key]
+    if type(value) is not kind:
+        raise DataError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _strings(section: dict, key: str, where: str) -> list[str]:
+    values = _field(section, key, list, where)
+    if not all(type(v) is str for v in values):
+        raise DataError(f"{where} {key!r} must hold only strings")
+    return values
+
+
+def _classes(section: dict, key: str, where: str) -> list[str]:
+    """A class list: distinct strings, at least one."""
+    values = _strings(section, key, where)
+    if not values or len(set(values)) != len(values):
+        raise DataError(f"{where} {key!r} must be distinct and non-empty")
+    return values
 
 
 def train_pipeline(

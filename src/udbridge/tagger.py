@@ -12,37 +12,54 @@ from dataclasses import dataclass, field
 
 from .conllu import Document
 from .errors import DataError
-from .perceptron import AveragedPerceptron, predict_with
+from .perceptron import AveragedPerceptron, Rows, best_index, compile_rows
 
 ATTRIBUTES = ("upos", "xpos", "feats")
 
 _PAD = "<s>"
 _UNSET = "_"
 
+# A token's history-independent features: those token_features() lists
+# before the two previous-label features, and those it lists after them.
+Context = tuple[list[str], list[str]]
 
-def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]:
+
+def _context_features(forms: list[str], i: int) -> Context:
     w = forms[i]
     lw = w.lower()
-    feats = ["bias", "w=" + w, "lw=" + lw]
+    head = ["bias", "w=" + w, "lw=" + lw]
     for k in (1, 2, 3, 4):
-        feats.append(f"pre{k}={lw[:k]}")
-        feats.append(f"suf{k}={lw[-k:]}")
-    feats.append("pw=" + (forms[i - 1].lower() if i > 0 else _PAD))
-    feats.append("nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD))
-    feats.append("pt=" + prev)
-    feats.append("ppt=" + prev2 + "+" + prev)
+        head.append(f"pre{k}={lw[:k]}")
+        head.append(f"suf{k}={lw[-k:]}")
+    head.append("pw=" + (forms[i - 1].lower() if i > 0 else _PAD))
+    head.append("nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD))
+    tail = []
     if any(ch.isdigit() for ch in w):
-        feats.append("hasdigit")
+        tail.append("hasdigit")
     if w[:1].isupper():
-        feats.append("cap")
-    return feats
+        tail.append("cap")
+    return head, tail
 
 
-def _greedy(forms: list[str], weights: dict, classes: list[str]) -> list[str]:
+def _contexts(forms: list[str]) -> list[Context]:
+    return [_context_features(forms, i) for i in range(len(forms))]
+
+
+def _with_history(context: Context, prev: str, prev2: str) -> list[str]:
+    head, tail = context
+    return head + ["pt=" + prev, "ppt=" + prev2 + "+" + prev] + tail
+
+
+def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]:
+    return _with_history(_context_features(forms, i), prev, prev2)
+
+
+def _greedy(contexts: list[Context], rows: Rows, classes: list[str]) -> list[str]:
+    n_classes = len(classes)
     prev, prev2 = _PAD, _PAD
     out = []
-    for i in range(len(forms)):
-        guess = predict_with(weights, token_features(forms, i, prev, prev2), classes)
+    for context in contexts:
+        guess = classes[best_index(rows, _with_history(context, prev, prev2), n_classes)]
         out.append(guess)
         prev2, prev = prev, guess
     return out
@@ -53,11 +70,22 @@ class TaggerModel:
     weights: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
     classes: dict[str, list[str]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # attribute -> its weights frozen over its classes; never saved
+        self._rows = {
+            attr: compile_rows(self.weights.get(attr, {}), classes)
+            for attr, classes in self.classes.items()
+        }
+
     def predict_attribute(self, forms: list[str], attribute: str) -> list[str]:
-        return _greedy(forms, self.weights[attribute], self.classes[attribute])
+        return _greedy(_contexts(forms), self._rows[attribute], self.classes[attribute])
 
     def predict(self, forms: list[str]) -> dict[str, list[str]]:
-        return {attr: self.predict_attribute(forms, attr) for attr in ATTRIBUTES}
+        contexts = _contexts(forms)
+        return {
+            attr: _greedy(contexts, self._rows[attr], self.classes[attr])
+            for attr in ATTRIBUTES
+        }
 
 
 def _gold_labels(doc: Document) -> list[tuple[list[str], dict[str, list[str]]]]:
@@ -111,19 +139,21 @@ def train_tagger(
         rng.shuffle(order)
         for idx in order:
             forms, labels = data[idx]
+            contexts = _contexts(forms)
             for attr in ATTRIBUTES:
                 model = models[attr]
                 prev, prev2 = _PAD, _PAD
-                for i in range(len(forms)):
-                    feats = token_features(forms, i, prev, prev2)
+                for context, truth in zip(contexts, labels[attr]):
+                    feats = _with_history(context, prev, prev2)
                     guess = model.predict(feats, classes[attr])
-                    model.update(labels[attr][i], guess, feats)
+                    model.update(truth, guess, feats)
                     prev2, prev = prev, guess
         if dev_data is not None:
-            snapshot = models["upos"].averaged()
+            snapshot = compile_rows(models["upos"].averaged(), classes["upos"])
             correct = total = 0
             for forms, labels in dev_data:
-                for got, want in zip(_greedy(forms, snapshot, classes["upos"]), labels["upos"]):
+                got_tags = _greedy(_contexts(forms), snapshot, classes["upos"])
+                for got, want in zip(got_tags, labels["upos"]):
                     correct += got == want
                     total += 1
             acc = correct / total

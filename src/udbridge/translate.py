@@ -163,6 +163,8 @@ class TranslatorClient:
         cache: LexiconCache | None = None,
         max_retries: int = 2,
     ):
+        if max_retries < 0:
+            raise DataError(f"max_retries must be >= 0, got {max_retries}")
         self.backend = backend
         self.quoting = quoting
         self.cache = cache

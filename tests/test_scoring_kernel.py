@@ -1,0 +1,164 @@
+"""The compiled scoring kernel against its reference, predict_with."""
+
+import random
+
+import pytest
+from synth import make_corpus
+
+from udbridge.depparser import (
+    SHIFT,
+    ParserModel,
+    _node_feats,
+    _padded,
+    _State,
+    train_parser,
+)
+from udbridge.errors import DataError
+from udbridge.perceptron import AveragedPerceptron, best_index, compile_rows, predict_with
+from udbridge.tagger import _PAD, token_features, train_tagger
+
+# Few distinct values, so that equal scores (ties) are common.
+_VALUES = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
+
+
+def random_table(rng: random.Random, classes: list[str], n_feats: int) -> dict:
+    """Rows over random class subsets, some with classes outside `classes`."""
+    table = {}
+    for f in range(n_feats):
+        row = {}
+        for cls in rng.sample(classes, rng.randint(0, len(classes))):
+            row[cls] = rng.choice(_VALUES) if rng.random() < 0.7 else rng.uniform(-2, 2)
+        if rng.random() < 0.2:
+            row["zz-outside"] = rng.uniform(-5, 5)
+        table[f"f{f}"] = row
+    return table
+
+
+def random_features(rng: random.Random, n_feats: int) -> list[str]:
+    """Known features, repeats, and features absent from the table."""
+    feats = [f"f{rng.randrange(n_feats)}" for _ in range(rng.randint(0, 12))]
+    feats += [f"absent{i}" for i in range(rng.randint(0, 3))]
+    rng.shuffle(feats)
+    return feats
+
+
+def test_kernel_matches_reference_on_random_tables():
+    rng = random.Random(20240607)
+    for _ in range(300):
+        classes = sorted(f"c{i:02d}" for i in rng.sample(range(40), rng.randint(1, 12)))
+        n_feats = rng.randint(1, 30)
+        table = random_table(rng, classes, n_feats)
+        rows = compile_rows(table, classes)
+        for _ in range(20):
+            feats = random_features(rng, n_feats)
+            want = predict_with(table, feats, classes)
+            assert classes[best_index(rows, feats, len(classes))] == want
+            # a candidate subset, as the parser passes for "all but shift"
+            cands = sorted(rng.sample(range(len(classes)), rng.randint(1, len(classes))))
+            want = predict_with(table, feats, [classes[i] for i in cands])
+            assert classes[best_index(rows, feats, len(classes), cands)] == want
+
+
+def test_ties_go_to_the_earliest_class():
+    rows = compile_rows({"f": {"b": 1.0, "a": 1.0, "c": 0.5}}, ["a", "b", "c"])
+    assert best_index(rows, ["f"], 3) == 0
+    assert best_index(rows, ["f"], 3, [1, 2]) == 1
+    # all scores 0.0: the first candidate
+    assert best_index(rows, ["unseen"], 3) == 0
+    assert best_index(rows, [], 3, [2]) == 2
+
+
+def test_empty_feature_list_picks_the_first_candidate():
+    table = {"f": {"a": -1.0, "b": -2.0}}
+    rows = compile_rows(table, ["a", "b"])
+    assert best_index(rows, [], 2) == 0 == ["a", "b"].index(predict_with(table, [], ["a", "b"]))
+
+
+def test_compile_skips_classes_outside_the_list():
+    table = {"f": {"a": 1.0, "right:root": 9.0}, "g": {"right:root": 3.0}}
+    assert compile_rows(table, ["a", "b"]) == {"f": ((0, 1.0),)}
+
+
+@pytest.mark.parametrize("table", [{"f": [["a", 1.0]]}, {"f": {"a": "1.0"}}, {"f": {"a": None}}])
+def test_compile_rejects_malformed_rows(table):
+    with pytest.raises(DataError):
+        compile_rows(table, ["a"])
+
+
+def test_averaged_perceptron_predict_is_predict_with():
+    rng = random.Random(5)
+    p = AveragedPerceptron()
+    p.weights = random_table(rng, ["a", "b", "c"], 10)
+    for _ in range(50):
+        feats = random_features(rng, 10)
+        assert p.predict(feats, ["a", "b", "c"]) == predict_with(p.weights, feats, ["a", "b", "c"])
+
+
+# ------------------------------------------------- tagger and parser paths
+
+
+def reference_tags(model, forms: list[str], attr: str) -> list[str]:
+    prev = prev2 = _PAD
+    out = []
+    for i in range(len(forms)):
+        guess = predict_with(model.weights[attr], token_features(forms, i, prev, prev2),
+                             model.classes[attr])
+        out.append(guess)
+        prev2, prev = prev, guess
+    return out
+
+
+def reference_parse(model: ParserModel, forms: list[str], tags: list[str]):
+    """Greedy parse choosing each move with predict_with over sorted moves."""
+    state = _State(n=len(forms))
+    pforms, ptags = _padded(forms), _padded(tags)
+    arcs = [c for c in model.classes if c != SHIFT]
+    while not state.terminal():
+        moves = [SHIFT] if not state.buffer_empty() else []
+        if len(state.stack) >= 2:
+            if state.stack[-2] != 0:
+                moves += arcs
+            elif state.buffer_empty():
+                moves = ["right:root"]
+        if len(moves) == 1:
+            move = moves[0]
+        else:
+            move = predict_with(model.weights, _node_feats(state, pforms, ptags), sorted(moves))
+        state.apply(move, model.root_label)
+    return state.heads[1:], state.deprels[1:]
+
+
+def test_trained_tagger_and_parser_match_the_reference():
+    train = make_corpus(60, seed=3)
+    held = make_corpus(30, seed=4)
+    tagger = train_tagger(train, epochs=2)
+    parser = train_parser(train, epochs=2)
+    for sent in held.sentences:
+        forms = [t.form for t in sent.tokens]
+        predicted = tagger.predict(forms)
+        for attr, tags in predicted.items():
+            assert tags == reference_tags(tagger, forms, attr)
+        assert parser.parse(forms, predicted["upos"]) == reference_parse(
+            parser, forms, predicted["upos"]
+        )
+
+
+def test_parser_with_weights_for_moves_outside_its_classes():
+    labels = ["a", "b"]
+    classes = sorted([SHIFT] + [f"left:{l}" for l in labels] + [f"right:{l}" for l in labels])
+    rng = random.Random(8)
+    tags = ["NOUN", "VERB", "DET"]
+    weights = {"bias": {c: rng.uniform(-1, 1) for c in classes}}
+    for t in tags:
+        row = {c: rng.choice(_VALUES) for c in classes}
+        row["right:root"] = 10.0  # a move the parser only makes unscored
+        weights["s0t=" + t] = row
+        weights["b0t=" + t] = {c: rng.choice(_VALUES) for c in classes}
+    # With the buffer empty shift is no candidate, however high it scores.
+    weights["b0w=<none>"] = {SHIFT: 10.0}
+    model = ParserModel(weights=weights, classes=classes, labels=labels)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        forms = [f"w{i}" for i in range(n)]
+        sent_tags = [rng.choice(tags) for _ in range(n)]
+        assert model.parse(forms, sent_tags) == reference_parse(model, forms, sent_tags)

@@ -188,3 +188,8 @@ def test_quoting_enum_chars():
     assert Quoting.NONE.char == ""
     assert Quoting.SINGLE.char == "'"
     assert Quoting.DOUBLE.char == '"'
+
+
+def test_negative_retries_are_rejected():
+    with pytest.raises(DataError, match="max_retries"):
+        TranslatorClient(IdentityBackend(), max_retries=-1)
