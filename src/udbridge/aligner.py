@@ -127,6 +127,8 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
                 row[tgt] = 1.0
     t = {src: {tgt: 1.0 / len(row) for tgt in row} for src, row in cooc.items()}
 
+    # (n_src, n_tgt) -> the priors for each target position
+    pair_priors: dict[tuple[int, int], list[list[float]]] = {}
     ll_history: list[float] = []
     for _ in range(cfg.iterations):
         counts: dict[str, dict[str, float]] = {src: {} for src in t}
@@ -134,8 +136,13 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
         ll = 0.0
         for pair in bitext:
             n_src, n_tgt = len(pair.source), len(pair.target)
+            by_position = pair_priors.get((n_src, n_tgt))
+            if by_position is None:
+                by_position = pair_priors[n_src, n_tgt] = [
+                    _position_priors(n_src, n_tgt, j, cfg) for j in range(n_tgt)
+                ]
             for j, tgt_word in enumerate(pair.target):
-                priors = _position_priors(n_src, n_tgt, j, cfg)
+                priors = by_position[j]
                 terms: list[tuple[str, float]] = []
                 if use_null:
                     terms.append((NULL_TOKEN, cfg.null_prob * t[NULL_TOKEN][tgt_word]))

@@ -92,6 +92,8 @@ class _State:
     next_buf: int = 1
     heads: list[int] = field(init=False)
     deprels: list[str] = field(init=False)
+    # children attached so far per node, for the oracle
+    n_attached: list[int] = field(init=False)
     # leftmost / rightmost attached child label per node, for features
     lc: dict[int, tuple[int, str]] = field(default_factory=dict)
     rc: dict[int, tuple[int, str]] = field(default_factory=dict)
@@ -99,6 +101,7 @@ class _State:
     def __post_init__(self):
         self.heads = [0] * (self.n + 1)
         self.deprels = [_NONE] * (self.n + 1)
+        self.n_attached = [0] * (self.n + 1)
 
     def buffer_empty(self) -> bool:
         return self.next_buf > self.n
@@ -109,6 +112,7 @@ class _State:
     def add_arc(self, head: int, dep: int, label: str) -> None:
         self.heads[dep] = head
         self.deprels[dep] = label
+        self.n_attached[head] += 1
         if dep < head and (head not in self.lc or dep < self.lc[head][0]):
             self.lc[head] = (dep, label)
         if dep > head and (head not in self.rc or dep > self.rc[head][0]):
@@ -129,6 +133,13 @@ class _State:
             self.add_arc(head, s0, root_label if head == 0 else move[6:])
         else:
             raise DataError(f"unknown transition {move!r}")
+
+
+def _candidates(moves: list[str]) -> tuple[list[int], list[int], list[int]]:
+    """The index lists _open_moves picks from, over sorted `moves` that
+    include shift: every move, the arc moves, and shift only."""
+    arcs = [i for i, move in enumerate(moves) if move != SHIFT]
+    return list(range(len(moves))), arcs, [moves.index(SHIFT)]
 
 
 def _open_moves(state: _State, every, arcs, shift_only):
@@ -196,10 +207,8 @@ def oracle_move(state: _State, heads: list[int], deprels: list[str], n_children:
         s1, s0 = state.stack[-2], state.stack[-1]
         if s1 != 0 and heads[s1] == s0:
             return "left:" + deprels[s1]
-        if heads[s0] == s1:
-            attached = sum(1 for d in range(1, len(heads)) if state.heads[d] == s0)
-            if attached == n_children[s0]:
-                return "right:" + deprels[s0]
+        if heads[s0] == s1 and state.n_attached[s0] == n_children[s0]:
+            return "right:" + deprels[s0]
     if state.buffer_empty():
         raise DataError("oracle stuck: tree is not projective")
     return SHIFT
@@ -217,9 +226,7 @@ class ParserModel:
         # them, and the candidate index lists for _open_moves; never saved.
         self._moves = sorted(set(self.classes) | {SHIFT})
         self._rows = compile_rows(self.weights, self._moves)
-        self._every = list(range(len(self._moves)))
-        self._arcs = [i for i, move in enumerate(self._moves) if move != SHIFT]
-        self._shift_only = [self._moves.index(SHIFT)]
+        self._every, self._arcs, self._shift_only = _candidates(self._moves)
 
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
         """Greedy parse; returns 1-based heads and deprels per token."""
@@ -292,10 +299,9 @@ def train_parser(
     )
     labels = sorted(label_set) if label_set else ["dep"]
     classes = sorted([SHIFT] + [f"left:{l}" for l in labels] + [f"right:{l}" for l in labels])
-    arc_classes = [c for c in classes if c != SHIFT]
-    shift_only = [SHIFT]
+    every, arcs, shift_only = _candidates(classes)
 
-    model = AveragedPerceptron()
+    model = AveragedPerceptron(classes)
     rng = random.Random(seed)
     order = list(range(len(data)))
     best_uas = -1.0
@@ -312,11 +318,11 @@ def train_parser(
             pforms, ptags = _padded(forms), _padded(tags)
             while not state.terminal():
                 truth = oracle_move(state, heads, deprels, n_children)
-                open_moves = _open_moves(state, classes, arc_classes, shift_only)
+                open_moves = _open_moves(state, every, arcs, shift_only)
                 if open_moves is not None:
                     feats = _node_feats(state, pforms, ptags)
                     guess = model.predict(feats, open_moves)
-                    model.update(truth, guess, feats)
+                    model.update(model.index(truth), guess, feats)
                 state.apply(truth, root_label)
         if dev is not None and dev.sentences:
             snapshot = ParserModel(

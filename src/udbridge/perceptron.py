@@ -1,5 +1,10 @@
 """Averaged multiclass perceptron over sparse binary features.
 
+Training keeps its live weights in rows keyed by class index:
+feature -> {class index: weight}. predict() sums a decision's scores into
+a flat list and update() moves the rows; the class names come back only
+in averaged(), which returns the usual feature -> {class: weight} table.
+
 The tick counter advances once per training decision (update() call), also
 when the guess was correct. averaged() returns, for every feature/class,
 the mean of the post-update weight snapshots over all ticks so far; the
@@ -8,8 +13,9 @@ lazy total/timestamp bookkeeping avoids touching untouched weights.
 Trained models score through frozen tables: compile_rows() turns a
 feature -> {class: weight} table into class-indexed rows once, and
 best_index() is the one kernel every inference call goes through.
-predict_with() is its reference on the dict form; both sum each class's
-score from 0.0 in feature order and give ties to the earliest class.
+predict_with() is the reference for both predict() and best_index() on
+the dict form: all three sum each class's score from 0.0 in feature order
+and give ties to the earliest class.
 """
 
 from itertools import chain
@@ -23,53 +29,74 @@ _NUMBERS = {int, float}
 
 
 class AveragedPerceptron:
-    def __init__(self):
-        self.weights: dict[str, dict[str, float]] = {}
-        self._totals: dict[tuple[str, str], float] = {}
-        self._tstamps: dict[tuple[str, str], int] = {}
+    def __init__(self, classes: list[str]):
+        self.classes = list(classes)
+        self._index = {cls: i for i, cls in enumerate(self.classes)}
+        # feature -> {class index: weight}
+        self.weights: dict[str, dict[int, float]] = {}
+        self._totals: dict[tuple[str, int], float] = {}
+        self._tstamps: dict[tuple[str, int], int] = {}
         self.ticks = 0
 
-    def score(self, features: list[str], weights: dict[str, dict[str, float]] | None = None) -> dict[str, float]:
-        return score_with(self.weights if weights is None else weights, features)
+    def index(self, cls: str) -> int:
+        """The index of `cls`; a class not seen before gets the next one."""
+        i = self._index.get(cls)
+        if i is None:
+            i = self._index[cls] = len(self.classes)
+            self.classes.append(cls)
+        return i
 
-    def predict(self, features: list[str], classes: list[str]) -> str:
-        """Highest-scoring class; ties go to the lexicographically smallest.
-        `classes` must be sorted ascending."""
-        return predict_with(self.weights, features, classes)
+    def predict(self, features: list[str], candidates: list[int]) -> int:
+        """The highest-scoring of `candidates` (ascending indices); ties go
+        to the earliest. Sums like best_index()."""
+        if len(candidates) == 1:
+            return candidates[0]
+        scores = [0.0] * len(self.classes)
+        get = self.weights.get
+        for feat in features:
+            row = get(feat)
+            if row is not None:
+                for i, w in row.items():
+                    scores[i] += w
+        return max(candidates, key=scores.__getitem__)
 
-    def _shift(self, feat: str, cls: str, delta: float) -> None:
-        key = (feat, cls)
-        row = self.weights.setdefault(feat, {})
-        current = row.get(cls, 0.0)
-        # Credit the outgoing weight for the ticks it was in force.
-        self._totals[key] = self._totals.get(key, 0.0) + (
-            self.ticks - self._tstamps.get(key, 0)
-        ) * current
-        self._tstamps[key] = self.ticks
-        row[cls] = current + delta
-
-    def update(self, truth: str, guess: str, features: list[str]) -> None:
+    def update(self, truth: int, guess: int, features: list[str]) -> None:
         self.ticks += 1
         if truth == guess:
             return
+        ticks = self.ticks
+        weights, totals, stamps = self.weights, self._totals, self._tstamps
+        shifts = ((truth, 1.0), (guess, -1.0))
         for feat in features:
-            self._shift(feat, truth, 1.0)
-            self._shift(feat, guess, -1.0)
+            row = weights.get(feat)
+            if row is None:
+                row = weights[feat] = {}
+            for cls, delta in shifts:
+                key = (feat, cls)
+                current = row.get(cls, 0.0)
+                # Credit the outgoing weight for the ticks it was in force.
+                totals[key] = totals.get(key, 0.0) + (ticks - stamps.get(key, 0)) * current
+                stamps[key] = ticks
+                row[cls] = current + delta
 
     def averaged(self) -> dict[str, dict[str, float]]:
-        """Mean of per-tick post-update weight snapshots (non-destructive)."""
+        """Mean of per-tick post-update weight snapshots (non-destructive),
+        keyed by class name."""
+        classes = self.classes
         if self.ticks == 0:
-            return {f: dict(row) for f, row in self.weights.items()}
+            return {
+                f: {classes[i]: w for i, w in row.items()} for f, row in self.weights.items()
+            }
         out: dict[str, dict[str, float]] = {}
         for feat, row in self.weights.items():
             arow: dict[str, float] = {}
-            for cls, w in row.items():
-                key = (feat, cls)
+            for i, w in row.items():
+                key = (feat, i)
                 total = self._totals.get(key, 0.0)
                 # The weight set at tick t is in force for snapshots t..now.
                 total += (self.ticks - self._tstamps.get(key, 0) + 1) * w
                 if total != 0.0:
-                    arow[cls] = total / self.ticks
+                    arow[classes[i]] = total / self.ticks
             if arow:
                 out[feat] = arow
         return out

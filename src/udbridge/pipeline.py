@@ -7,9 +7,12 @@ floats round-trip exactly, so a saved and reloaded model predicts
 identically.
 """
 
+import contextlib
 import json
 import math
+import os
 import random
+import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -116,9 +119,7 @@ class PipelineModel:
                 "weights": self.parser.weights,
             },
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
+        _write_atomically(path, json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "PipelineModel":
@@ -179,6 +180,22 @@ class PipelineModel:
 
 
 _RULE_TYPES = [str, str, int, str, str, int]
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write `text` to a new file beside `path`, then rename it over
+    `path`: readers see the old file or the new one, never a torn write,
+    and a failed write leaves the old file and no temporary file behind."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _field(section: dict, key: str, kind: type, where: str = ""):

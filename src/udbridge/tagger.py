@@ -129,7 +129,13 @@ def train_tagger(
         attr: sorted({lab for _, labels in data for lab in labels[attr]})
         for attr in ATTRIBUTES
     }
-    models = {attr: AveragedPerceptron() for attr in ATTRIBUTES}
+    models = {attr: AveragedPerceptron(classes[attr]) for attr in ATTRIBUTES}
+    every = {attr: list(range(len(classes[attr]))) for attr in ATTRIBUTES}
+    # attribute -> gold label indices per sentence
+    gold = {
+        attr: [[models[attr].index(lab) for lab in labels[attr]] for _, labels in data]
+        for attr in ATTRIBUTES
+    }
     rng = random.Random(seed)
     order = list(range(len(data)))
 
@@ -138,16 +144,16 @@ def train_tagger(
     for _epoch in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            forms, labels = data[idx]
-            contexts = _contexts(forms)
+            contexts = _contexts(data[idx][0])
             for attr in ATTRIBUTES:
                 model = models[attr]
+                names, candidates = classes[attr], every[attr]
                 prev, prev2 = _PAD, _PAD
-                for context, truth in zip(contexts, labels[attr]):
+                for context, truth in zip(contexts, gold[attr][idx]):
                     feats = _with_history(context, prev, prev2)
-                    guess = model.predict(feats, classes[attr])
+                    guess = model.predict(feats, candidates)
                     model.update(truth, guess, feats)
-                    prev2, prev = prev, guess
+                    prev2, prev = prev, names[guess]
         if dev_data is not None:
             snapshot = compile_rows(models["upos"].averaged(), classes["upos"])
             correct = total = 0

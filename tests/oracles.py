@@ -112,6 +112,39 @@ def em_reference(
     return table, ll_history
 
 
+# ---------------------------------------------------- averaged perceptron
+
+
+class SnapshotPerceptron:
+    """The averaged perceptron from its definition, keyed by class name:
+    after every update (tick), add the whole weight table into a running
+    sum of snapshots; the average is that sum over the number of ticks.
+    No lazy timestamps."""
+
+    def __init__(self):
+        self.weights: dict[str, dict[str, float]] = {}
+        self.sums: dict[tuple[str, str], float] = {}
+        self.ticks = 0
+
+    def update(self, truth: str, guess: str, features: list[str]) -> None:
+        if truth != guess:
+            for feat in features:
+                row = self.weights.setdefault(feat, {})
+                row[truth] = row.get(truth, 0.0) + 1.0
+                row[guess] = row.get(guess, 0.0) - 1.0
+        self.ticks += 1
+        for feat, row in self.weights.items():
+            for cls, w in row.items():
+                self.sums[feat, cls] = self.sums.get((feat, cls), 0.0) + w
+
+    def averaged(self) -> dict[str, dict[str, float]]:
+        out: dict[str, dict[str, float]] = {}
+        for (feat, cls), total in self.sums.items():
+            if total != 0.0:
+                out.setdefault(feat, {})[cls] = total / self.ticks
+        return out
+
+
 # ------------------------------------------------------ accuracy counting
 
 

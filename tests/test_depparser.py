@@ -146,6 +146,56 @@ def test_oracle_reproduces_random_projective_trees():
         assert state.deprels[1:] == deprels[1:]
 
 
+def random_projective_tree(rng: random.Random, n: int) -> list[int]:
+    """Heads of a random projective tree: each span of tokens is cut into
+    consecutive subtrees, and each subtree's root heads both sides of it."""
+    heads = [0] * (n + 1)
+    spans = [(1, n, 0, True)]  # lo, hi, head, whether the span is one subtree
+    while spans:
+        lo, hi, head, whole = spans.pop()
+        if lo > hi:
+            continue
+        end = hi if whole else rng.randint(lo, hi)
+        root = rng.randint(lo, end)
+        heads[root] = head
+        spans += [(lo, root - 1, root, False), (root + 1, end, root, False)]
+        spans.append((end + 1, hi, head, False))
+    return heads
+
+
+def scan_oracle_move(state, heads, deprels, n_children) -> str:
+    """oracle_move with the children attached to s0 counted by a scan over
+    every token."""
+    if len(state.stack) >= 2:
+        s1, s0 = state.stack[-2], state.stack[-1]
+        if s1 != 0 and heads[s1] == s0:
+            return "left:" + deprels[s1]
+        if heads[s0] == s1:
+            attached = sum(1 for d in range(1, len(heads)) if state.heads[d] == s0)
+            if attached == n_children[s0]:
+                return "right:" + deprels[s0]
+    return SHIFT
+
+
+def test_oracle_on_long_projective_trees():
+    rng = random.Random(203)
+    for n in (200, 257, 350, 650):
+        heads = random_projective_tree(rng, n)
+        assert is_projective(heads)
+        assert heads.count(0) == 2  # heads[0] and the one root
+        deprels = ["<pad>"] + ["root" if heads[d] == 0 else f"l{d % 4}" for d in range(1, n + 1)]
+        n_children = [0] * (n + 1)
+        for dep in range(1, n + 1):
+            n_children[heads[dep]] += 1
+        state = _State(n=n)
+        while not state.terminal():
+            move = oracle_move(state, heads, deprels, n_children)
+            assert move == scan_oracle_move(state, heads, deprels, n_children)
+            state.apply(move, "root")
+        assert state.heads == heads
+        assert state.deprels[1:] == deprels[1:]
+
+
 def test_oracle_stuck_on_nonprojective_tree():
     heads = [0, 3, 0, 2]
     deprels = ["<pad>", "dep", "root", "dep"]

@@ -1,71 +1,118 @@
 """Averaged perceptron: hand-traced averaging, tie rule, lazy accumulation."""
 
-import pytest
+import random
 
-from udbridge.perceptron import AveragedPerceptron, predict_with
+import pytest
+from oracles import SnapshotPerceptron
+
+from udbridge.perceptron import AveragedPerceptron, predict_with, score_with
+
+A, B = 0, 1  # the indices of "A" and "B" in AveragedPerceptron(["A", "B"])
 
 
 def test_three_updates_average_is_mean_of_snapshots():
-    p = AveragedPerceptron()
+    p = AveragedPerceptron(["A", "B"])
     for _ in range(3):
-        p.update("A", "B", ["f"])
+        p.update(A, B, ["f"])
     # post-update weights for (f, A) were 1, 2, 3
-    assert p.weights["f"]["A"] == 3.0
+    assert p.weights["f"][A] == 3.0
     assert p.averaged()["f"]["A"] == pytest.approx(2.0)
     assert p.averaged()["f"]["B"] == pytest.approx(-2.0)
 
 
 def test_correct_guesses_still_advance_the_clock():
-    p = AveragedPerceptron()
-    p.update("A", "B", ["f"])  # w -> 1
-    p.update("A", "A", ["f"])  # correct, no change, snapshot stays 1
-    p.update("A", "B", ["f"])  # w -> 2
+    p = AveragedPerceptron(["A", "B"])
+    p.update(A, B, ["f"])  # w -> 1
+    p.update(A, A, ["f"])  # correct, no change, snapshot stays 1
+    p.update(A, B, ["f"])  # w -> 2
     # snapshots 1, 1, 2
     assert p.averaged()["f"]["A"] == pytest.approx(4 / 3)
 
 
 def test_averaged_is_nondestructive_and_training_continues():
-    p = AveragedPerceptron()
-    p.update("A", "B", ["f"])
+    p = AveragedPerceptron(["A", "B"])
+    p.update(A, B, ["f"])
     first = p.averaged()
     assert p.averaged() == first
-    p.update("A", "B", ["f"])
-    assert p.weights["f"]["A"] == 2.0
+    p.update(A, B, ["f"])
+    assert p.weights["f"][A] == 2.0
     assert p.averaged()["f"]["A"] == pytest.approx(1.5)
 
 
 def test_cancelled_weights_are_dropped_from_average():
-    p = AveragedPerceptron()
-    p.update("A", "B", ["f", "g"])
-    p.update("B", "A", ["f"])  # f weights return to zero
+    p = AveragedPerceptron(["A", "B"])
+    p.update(A, B, ["f", "g"])
+    p.update(B, A, ["f"])  # f weights return to zero
     avg = p.averaged()
     assert avg["f"]["A"] == pytest.approx(0.5)  # snapshots 1, 0
     assert avg["g"]["A"] == pytest.approx(1.0)  # untouched since tick 1
 
 
 def test_prediction_tie_goes_to_smallest_class():
-    p = AveragedPerceptron()
-    p.weights = {"f": {"b": 1.0, "a": 1.0, "c": 0.5}}
-    assert p.predict(["f"], ["a", "b", "c"]) == "a"
-    assert p.predict(["unseen"], ["a", "b", "c"]) == "a"
-    assert predict_with(p.weights, ["f"], ["a", "b", "c"]) == "a"
+    p = AveragedPerceptron(["a", "b", "c"])
+    p.weights = {"f": {1: 1.0, 0: 1.0, 2: 0.5}}
+    assert p.predict(["f"], [0, 1, 2]) == 0
+    assert p.predict(["unseen"], [0, 1, 2]) == 0
+    assert predict_with({"f": {"b": 1.0, "a": 1.0, "c": 0.5}}, ["f"], ["a", "b", "c"]) == "a"
 
 
 def test_higher_score_beats_tie_rule():
-    p = AveragedPerceptron()
-    p.weights = {"f": {"b": 2.0, "a": 1.0}}
-    assert p.predict(["f"], ["a", "b"]) == "b"
-    assert predict_with(p.weights, ["f", "f2"], ["a", "b"]) == "b"
+    p = AveragedPerceptron(["a", "b"])
+    p.weights = {"f": {1: 2.0, 0: 1.0}}
+    assert p.predict(["f"], [0, 1]) == 1
+    assert predict_with({"f": {"b": 2.0, "a": 1.0}}, ["f", "f2"], ["a", "b"]) == "b"
 
 
 def test_untrained_averaged_returns_current_weights():
-    p = AveragedPerceptron()
-    p.weights = {"f": {"a": 2.0}}
+    p = AveragedPerceptron(["a"])
+    p.weights = {"f": {0: 2.0}}
     assert p.averaged() == {"f": {"a": 2.0}}
 
 
 def test_score_sums_over_features():
-    p = AveragedPerceptron()
-    p.weights = {"f1": {"a": 1.0}, "f2": {"a": 0.5, "b": 3.0}}
-    scores = p.score(["f1", "f2", "missing"])
+    weights = {"f1": {"a": 1.0}, "f2": {"a": 0.5, "b": 3.0}}
+    scores = score_with(weights, ["f1", "f2", "missing"])
     assert scores == {"a": 1.5, "b": 3.0}
+
+
+def test_index_gives_new_classes_the_next_index():
+    p = AveragedPerceptron(["a", "b"])
+    assert [p.index("b"), p.index("a")] == [1, 0]
+    assert p.index("right:root") == 2
+    assert p.index("right:root") == 2
+    assert p.classes == ["a", "b", "right:root"]
+
+
+def test_weights_for_a_new_class_stay_in_the_average():
+    classes = ["a", "b"]
+    p = AveragedPerceptron(classes)
+    p.update(p.index("right:root"), 0, ["f"])
+    assert p.averaged() == {"f": {"right:root": 1.0, "a": -1.0}}
+    assert classes == ["a", "b"]  # the caller's list is not extended
+
+
+def test_random_updates_match_the_snapshot_reference():
+    """Random update sequences (ties, classes outside the initial list,
+    repeated features, correct guesses): averaged() equals a perceptron
+    that sums every snapshot, and predict() agrees with predict_with on
+    the live weights."""
+    rng = random.Random(1302)
+    for _ in range(60):
+        classes = sorted(f"c{i}" for i in rng.sample(range(20), rng.randint(1, 6)))
+        extra = [f"new{i}" for i in range(rng.randint(0, 2))]
+        p = AveragedPerceptron(classes)
+        ref = SnapshotPerceptron()
+        assert p.averaged() == ref.averaged() == {}
+        feature_pool = [f"f{i}" for i in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(1, 80)):
+            feats = [rng.choice(feature_pool) for _ in range(rng.randint(0, 6))]
+            known = p.classes[:]  # the classes that have an index so far
+            cands = sorted(rng.sample(range(len(known)), rng.randint(1, len(known))))
+            guess = p.predict(feats, cands)
+            assert known[guess] == predict_with(ref.weights, feats, [known[i] for i in cands])
+            truth = rng.choice(classes + extra)
+            if rng.random() < 0.3:
+                guess = rng.randrange(len(known))
+            p.update(p.index(truth), guess, feats)
+            ref.update(truth, known[guess], feats)
+            assert p.averaged() == ref.averaged()

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import random
 
 import pytest
 
@@ -109,6 +112,62 @@ def test_model_file_is_versioned_json(model, tmp_path):
     assert payload["format"] == "udbridge-pipeline"
     assert payload["version"] == 1
     assert payload["metadata"]["train_sentences"] == 120
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(model, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        model.save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
+
+    monkeypatch.undo()
+    unsaveable = PipelineModel(model.tagger, model.lemma_rules, model.parser,
+                               metadata={"bad": object()})
+    with pytest.raises(TypeError):
+        unsaveable.save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def _crossing_corpus(n: int, seed: int):
+    """make_corpus with every third sentence re-attached as a random tree,
+    so that arcs cross and some projectivized trees have several roots
+    (which is where the parser's right:root weights come from)."""
+    doc = make_corpus(n, seed=seed)
+    rng = random.Random(seed)
+    for sent in doc.sentences[::3]:
+        order = [t.id for t in sent.tokens]
+        rng.shuffle(order)
+        heads = {order[0]: 0}
+        for i, node in enumerate(order[1:], 1):
+            heads[node] = rng.choice(order[:i])
+        for tok in sent.tokens:
+            tok.head = heads[tok.id]
+            tok.deprel = "root" if tok.head == 0 else tok.deprel if tok.deprel != "root" else "dep"
+    return doc
+
+
+# SHA-256 of the saved model bytes; a faster trainer must not move them.
+@pytest.mark.parametrize("make, n, seed, sha256", [
+    (make_corpus, 60, 7, "f08d9934afe4a60c58c821bb5bf0856868715195b71052de024be9c24e776d61"),
+    (make_corpus, 120, 11, "88d2efb212b8d5bfed15b7a14233ab79a24dcc1d44db37675cd1c2819cbce15d"),
+    (_crossing_corpus, 90, 7, "d816ef02bb3fb17e4eb91c33b462b0cea70cd4b50901eab0abd99cbf705ab286"),
+])
+def test_trained_model_bytes_are_golden(make, n, seed, sha256, tmp_path):
+    trained = train_pipeline(make(n, seed), make_corpus(20, seed=seed + 1), epochs=2)
+    path = tmp_path / "model.json"
+    trained.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    if make is _crossing_corpus:
+        assert any("right:root" in row for row in trained.parser.weights.values())
 
 
 def test_model_load_rejects_bad_files(tmp_path):

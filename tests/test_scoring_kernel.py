@@ -87,11 +87,16 @@ def test_compile_rejects_malformed_rows(table):
 
 def test_averaged_perceptron_predict_is_predict_with():
     rng = random.Random(5)
-    p = AveragedPerceptron()
-    p.weights = random_table(rng, ["a", "b", "c"], 10)
+    p = AveragedPerceptron(["a", "b", "c"])
+    table = random_table(rng, ["a", "b", "c"], 10)
+    # the same weights keyed by class index; "zz-outside" gets index 3
+    p.weights = {f: {p.index(cls): w for cls, w in row.items()} for f, row in table.items()}
     for _ in range(50):
         feats = random_features(rng, 10)
-        assert p.predict(feats, ["a", "b", "c"]) == predict_with(p.weights, feats, ["a", "b", "c"])
+        assert p.classes[p.predict(feats, [0, 1, 2])] == predict_with(table, feats, ["a", "b", "c"])
+        cands = sorted(rng.sample(range(3), rng.randint(1, 3)))
+        want = predict_with(table, feats, [p.classes[i] for i in cands])
+        assert p.classes[p.predict(feats, cands)] == want
 
 
 # ------------------------------------------------- tagger and parser paths
