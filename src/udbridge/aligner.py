@@ -60,6 +60,9 @@ class TranslationTable:
     t: dict[str, dict[str, float]] = field(default_factory=dict)
     config: AlignerConfig = field(default_factory=AlignerConfig)
     log_likelihood: list[float] = field(default_factory=list)
+    # the position priors of training, which viterbi_align extends; see
+    # _priors_by_position
+    _priors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def prob(self, source_word: str, target_word: str) -> float:
         return self.t.get(source_word, {}).get(target_word, FLOOR_PROB)
@@ -109,6 +112,19 @@ def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list
     return [w * scale for w in weights]
 
 
+def _priors_by_position(cache: dict, n_src: int, n_tgt: int, cfg: AlignerConfig) -> list[list[float]]:
+    """The priors for every target position of an n_src x n_tgt pair,
+    built once per cache. The key holds the config values the priors
+    depend on, so a changed config never reads stale priors."""
+    key = (n_src, n_tgt, cfg.lambda_, cfg.null_prob)
+    by_position = cache.get(key)
+    if by_position is None:
+        by_position = cache[key] = [
+            _position_priors(n_src, n_tgt, j, cfg) for j in range(n_tgt)
+        ]
+    return by_position
+
+
 def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) -> TranslationTable:
     """EM-train a translation table on tokenized sentence pairs."""
     if cfg is None:
@@ -127,20 +143,16 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
                 row[tgt] = 1.0
     t = {src: {tgt: 1.0 / len(row) for tgt in row} for src, row in cooc.items()}
 
-    # (n_src, n_tgt) -> the priors for each target position
-    pair_priors: dict[tuple[int, int], list[list[float]]] = {}
+    pair_priors: dict = {}
     ll_history: list[float] = []
     for _ in range(cfg.iterations):
         counts: dict[str, dict[str, float]] = {src: {} for src in t}
         totals: dict[str, float] = {src: 0.0 for src in t}
         ll = 0.0
         for pair in bitext:
-            n_src, n_tgt = len(pair.source), len(pair.target)
-            by_position = pair_priors.get((n_src, n_tgt))
-            if by_position is None:
-                by_position = pair_priors[n_src, n_tgt] = [
-                    _position_priors(n_src, n_tgt, j, cfg) for j in range(n_tgt)
-                ]
+            by_position = _priors_by_position(
+                pair_priors, len(pair.source), len(pair.target), cfg
+            )
             for j, tgt_word in enumerate(pair.target):
                 priors = by_position[j]
                 terms: list[tuple[str, float]] = []
@@ -162,7 +174,9 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
         }
         ll_history.append(ll)
 
-    return TranslationTable(t=t, config=cfg, log_likelihood=ll_history)
+    table = TranslationTable(t=t, config=cfg, log_likelihood=ll_history)
+    table._priors = pair_priors
+    return table
 
 
 def viterbi_align(table: TranslationTable, pair: SentencePair) -> list[AlignmentLink]:
@@ -170,9 +184,9 @@ def viterbi_align(table: TranslationTable, pair: SentencePair) -> list[Alignment
     cfg = table.config
     use_null = cfg.null_prob > 0.0
     links: list[AlignmentLink] = []
-    n_src, n_tgt = len(pair.source), len(pair.target)
+    by_position = _priors_by_position(table._priors, len(pair.source), len(pair.target), cfg)
     for j, tgt_word in enumerate(pair.target):
-        priors = _position_priors(n_src, n_tgt, j, cfg)
+        priors = by_position[j]
         best_score = cfg.null_prob * table.prob(NULL_TOKEN, tgt_word) if use_null else 0.0
         best_i: int | None = None
         for i, src_word in enumerate(pair.source):

@@ -126,10 +126,14 @@ class PipelineModel:
         """Read a model file. Anything malformed, down to a weight that is
         not a number, raises DataError; the weights are compiled for
         scoring here."""
+        return cls.from_bytes(read_model_file(path), path)
+
+    @classmethod
+    def from_bytes(cls, data: bytes, path: str) -> "PipelineModel":
+        """Parse the contents of a model file; `path` names it in errors."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+            payload = json.loads(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise DataError(f"cannot load model from {path}: {err}") from None
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise DataError(f"{path}: not a {MODEL_FORMAT} file")
@@ -180,6 +184,15 @@ class PipelineModel:
 
 
 _RULE_TYPES = [str, str, int, str, str, int]
+
+
+def read_model_file(path: str) -> bytes:
+    """The bytes of a model file, for `PipelineModel.from_bytes`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as err:
+        raise DataError(f"cannot load model from {path}: {err}") from None
 
 
 def _write_atomically(path: str, text: str) -> None:

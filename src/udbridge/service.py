@@ -5,8 +5,13 @@ UTF-8 JSON. /annotate returns the annotated document itself (CoNLL-U or
 TSV as plain text, "json" as a structured document); errors and the other
 endpoints return JSON objects. The model is loaded once at startup and
 never mutated, so worker threads share it freely.
+
+Connections are kept alive between requests. Each response leaves in one
+write on a socket with TCP_NODELAY: sent as two segments, the body would
+wait for the client's delayed ACK of the headers, about 40 ms a request.
 """
 
+import io
 import json
 import os
 import threading
@@ -15,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .conllu import Document, parse_conllu, serialize_conllu, serialize_tsv
 from .errors import DataError, UdbridgeError
-from .pipeline import EvalSetting, PipelineModel, annotate
+from .pipeline import EvalSetting, PipelineModel, annotate, read_model_file
 from .stats import cooccurrence, top_tokens_per_upos, upos_frequencies
 from .util import short_hash
 
@@ -149,8 +154,36 @@ class _HttpError(Exception):
         self.status = status
 
 
+class _ResponseWriter(io.BytesIO):
+    """A handler's wfile: collects what one response writes and sends it
+    with a single sendall when flushed. The server flushes once after each
+    request and once when the connection closes."""
+
+    def __init__(self, sock):
+        super().__init__()
+        self._sock = sock
+
+    def flush(self) -> None:
+        data = self.getvalue()
+        if data:
+            self.seek(0)
+            self.truncate()
+            self._sock.sendall(data)
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
+
+    def handle_expect_100(self):
+        # the client holds the body back until this interim reply arrives
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
 
     # quiet by default; the server object may carry a log stream
     def log_message(self, format, *args):
@@ -198,30 +231,26 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def do_GET(self):
-        with self.server.worker_slots:
-            if self.path == "/health":
-                self._send_json(
-                    200, {"status": "ok", "model": self.server.model_hash}
-                )
-            else:
-                self._send_json(404, {"error": "not found"})
+        if self.path == "/health":
+            self._send_json(200, {"status": "ok", "model": self.server.model_hash})
+        else:
+            self._send_json(404, {"error": "not found"})
 
     def do_POST(self):
-        with self.server.worker_slots:
-            try:
-                if self.path == "/annotate":
-                    self._annotate()
-                elif self.path == "/stats":
-                    self._stats()
-                else:
-                    self._send_json(404, {"error": "not found"})
-            except _HttpError as err:
-                self._send_json(err.status, {"error": str(err)})
-            except UdbridgeError as err:
-                self._send_json(400, {"error": str(err)})
-            except Exception:
-                # nothing internal leaks to the client
-                self._send_json(500, {"error": "internal error"})
+        try:
+            if self.path == "/annotate":
+                self._annotate()
+            elif self.path == "/stats":
+                self._stats()
+            else:
+                self._send_json(404, {"error": "not found"})
+        except _HttpError as err:
+            self._send_json(err.status, {"error": str(err)})
+        except UdbridgeError as err:
+            self._send_json(400, {"error": str(err)})
+        except Exception:
+            # nothing internal leaks to the client
+            self._send_json(500, {"error": "internal error"})
 
     def _annotate(self) -> None:
         payload = self._read_body()
@@ -237,7 +266,8 @@ class _Handler(BaseHTTPRequestHandler):
         except UdbridgeError as err:
             raise _HttpError(400, str(err)) from None
         source = text if setting is EvalSetting.RAW_TEXT else parse_conllu(text)
-        doc = annotate(source, self.server.model, setting)
+        with self.server.worker_slots:
+            doc = annotate(source, self.server.model, setting)
         if fmt == "json":
             self._send_json(200, document_to_object(doc))
         elif fmt == "tsv":
@@ -253,7 +283,8 @@ class _Handler(BaseHTTPRequestHandler):
         report = payload.get("report")
         if report not in ("upos", "top", "cooc"):
             raise _HttpError(400, f"unknown report {report!r}")
-        doc = annotate(text, self.server.model, EvalSetting.RAW_TEXT)
+        with self.server.worker_slots:
+            doc = annotate(text, self.server.model, EvalSetting.RAW_TEXT)
         if report == "upos":
             rows = [[tag, count] for tag, count in upos_frequencies(doc)]
         elif report == "top":
@@ -285,9 +316,13 @@ class AnnotationServer(ThreadingHTTPServer):
 
     def __init__(self, config: ServiceConfig, log_stream=None):
         self.config = config
-        self.model = PipelineModel.load(config.model_path)
-        with open(config.model_path, "rb") as fh:
-            self.model_hash = short_hash(fh.read())
+        # hash the very bytes that were parsed: a second read could see
+        # a file replaced in between
+        data = read_model_file(config.model_path)
+        self.model = PipelineModel.from_bytes(data, config.model_path)
+        self.model_hash = short_hash(data)
+        # taken only around annotation, after the request body has been
+        # read and checked: a client that stalls mid-request holds none
         self.worker_slots = threading.BoundedSemaphore(config.workers)
         self.log_stream = log_stream
         super().__init__((config.host, config.port), _Handler)

@@ -98,6 +98,18 @@ def test_viterbi_toy_alignment():
     assert [(l.source_index, l.target_index) for l in links] == [(0, 0)]
 
 
+def test_viterbi_priors_follow_the_table_config():
+    # the diagonal prior splits a repeated word; the uniform one ties it to
+    # the first position, so priors cached under the old config would show
+    pair = SentencePair(["a", "a"], ["x", "x"])
+    table = train_aligner([pair], AlignerConfig(iterations=1, lambda_=4.0))
+    links = viterbi_align(table, pair)
+    assert [(l.source_index, l.target_index) for l in links] == [(0, 0), (1, 1)]
+    table.config = AlignerConfig(iterations=1, lambda_=0.0)
+    links = viterbi_align(table, pair)
+    assert [(l.source_index, l.target_index) for l in links] == [(0, 0), (0, 1)]
+
+
 def test_unknown_target_word_goes_to_null():
     table = train_aligner(
         [SentencePair(["a"], ["x"])], AlignerConfig(iterations=2, null_prob=0.5, lambda_=0.0)

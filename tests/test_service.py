@@ -1,11 +1,15 @@
+import builtins
 import http.client
 import io
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 from synth import make_corpus
+from udbridge import service
 from udbridge.cli import main
 from udbridge.conllu import parse_conllu
 from udbridge.errors import DataError
@@ -18,6 +22,7 @@ from udbridge.service import (
     make_server,
     read_config_file,
 )
+from udbridge.util import short_hash
 
 
 @pytest.fixture(scope="module")
@@ -314,3 +319,196 @@ def test_concurrent_requests_identical(server):
     bodies = {r[2] for r in results}
     assert statuses == {200}
     assert len(bodies) == 1
+
+
+# ------------------------------------------------------------- transport
+
+
+class _CountingSocket:
+    """An accepted socket that records each write made on it. The count
+    goes up before the bytes leave, so a client that has read a response
+    sees every write that produced it."""
+
+    def __init__(self, sock, writes: list):
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture
+def probe(model_path):
+    """A server that records, for each accepted connection, its
+    TCP_NODELAY setting and the writes made on it."""
+    connections = []
+
+    class Handler(service._Handler):
+        def setup(self):
+            writes = []
+            self.request = _CountingSocket(self.request, writes)
+            super().setup()
+            nodelay = self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            connections.append({"nodelay": nodelay, "writes": writes})
+
+    srv = make_server(ServiceConfig(bind="127.0.0.1:0", model_path=model_path,
+                                    max_request_bytes=4096))
+    srv.RequestHandlerClass = Handler
+    srv.connections = connections
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_accepted_sockets_set_tcp_nodelay(probe):
+    assert request(probe, "GET", "/health")[0] == 200
+    assert request(probe, "POST", "/annotate", {"text": "De man rint."})[0] == 200
+    assert [c["nodelay"] != 0 for c in probe.connections] == [True, True]
+
+
+def test_every_response_is_one_write(probe, monkeypatch):
+    cases = [
+        ("GET", "/health", None, 200),
+        ("GET", "/nope", None, 404),
+        ("POST", "/nope", {"text": "x"}, 404),
+        ("POST", "/annotate", {"text": "De man rint."}, 200),
+        ("POST", "/annotate", {"text": "De man rint.", "format": "tsv"}, 200),
+        ("POST", "/annotate", {"text": "De man rint.", "format": "json"}, 200),
+        ("POST", "/stats", {"text": "De man rint.", "report": "upos"}, 200),
+        ("POST", "/annotate", {"text": ""}, 400),
+        ("PUT", "/annotate", None, 501),  # the standard library's own error reply
+    ]
+    for method, path, payload, expected in cases:
+        assert request(probe, method, path, payload)[0] == expected, (method, path)
+    assert request(probe, "POST", "/annotate", {"text": "wat"}, content_length=100000)[0] == 413
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(service, "annotate", boom)
+    assert request(probe, "POST", "/annotate", {"text": "wat"})[0] == 500
+    assert [len(c["writes"]) for c in probe.connections] == [1] * (len(cases) + 2)
+
+
+def test_keep_alive_sequence_matches_fresh_connections(probe):
+    texts = ["De man sjocht it hûs.", "De frou rint. De man rint.", "It hûs by de wei."]
+    bare = "1\tDe\t_\t_\t_\t_\t_\t_\t_\t_\n2\tman\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    sequence = [("GET", "/health", None)]
+    sequence += [("POST", "/annotate", {"text": text, "format": fmt})
+                 for text in texts for fmt in ("conllu", "tsv", "json")]
+    sequence += [
+        ("POST", "/annotate", {"text": texts[1]}),
+        ("POST", "/annotate", {"text": bare, "setting": "goldtok"}),
+        ("POST", "/stats", {"text": texts[1], "report": "upos"}),
+        ("POST", "/stats", {"text": texts[1], "report": "top", "top_n": 2}),
+        ("POST", "/stats", {"text": texts[0], "report": "cooc", "upos_filter": "NOUN"}),
+        ("GET", "/health", None),
+        ("POST", "/annotate", {"text": texts[2]}),
+        ("POST", "/stats", {"text": texts[2], "report": "upos"}),
+        ("POST", "/annotate", {"text": texts[0], "format": "json"}),
+        ("GET", "/health", None),
+    ]
+    assert len(sequence) == 20
+
+    def key(status, headers, body):
+        return status, headers["Content-Type"], headers["Content-Length"], body
+
+    fresh = [key(*request(probe, method, path, payload)) for method, path, payload in sequence]
+    assert {k[0] for k in fresh} == {200}
+    n_fresh = len(probe.connections)
+
+    host, port = probe.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    kept = []
+    try:
+        for method, path, payload in sequence:
+            body = None if payload is None else json.dumps(payload).encode("utf-8")
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            kept.append(key(resp.status, dict(resp.getheaders()), resp.read()))
+            assert not resp.will_close
+    finally:
+        conn.close()
+    assert kept == fresh
+    # all twenty went over one connection, one write each
+    assert [len(c["writes"]) for c in probe.connections[n_fresh:]] == [20]
+
+
+def test_expect_continue_is_answered_before_the_body(server):
+    body = json.dumps({"text": "De man rint."}).encode("utf-8")
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(b"POST /annotate HTTP/1.1\r\nHost: udbridge\r\n"
+                     b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body))
+        assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert reader.readline() == b"\r\n"
+        sock.sendall(body)
+        assert reader.readline() == b"HTTP/1.1 200 OK\r\n"
+        reader.close()
+
+
+def test_stalled_bodies_hold_no_worker_slot(model_path):
+    cfg = ServiceConfig(bind="127.0.0.1:0", model_path=model_path, workers=2)
+    srv = make_server(cfg)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    address = srv.server_address[:2]
+    stalled = []
+    try:
+        for _ in range(cfg.workers):
+            sock = socket.create_connection(address, timeout=5)
+            sock.sendall(b"POST /annotate HTTP/1.1\r\nHost: udbridge\r\n"
+                         b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n")
+            stalled.append(sock)
+        time.sleep(0.2)  # let every stalled request reach its body read
+        for method, path, payload in [("GET", "/health", None),
+                                      ("POST", "/annotate", {"text": "De man rint."})]:
+            conn = http.client.HTTPConnection(*address, timeout=3)
+            try:
+                body = None if payload is None else json.dumps(payload).encode("utf-8")
+                conn.request(method, path, body=body)
+                resp = conn.getresponse()
+                assert resp.status == 200, path
+                resp.read()
+            finally:
+                conn.close()
+    finally:
+        for sock in stalled:
+            sock.close()
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+# ------------------------------------------------------------ model file
+
+
+def test_model_file_is_read_once(model_path, monkeypatch):
+    real_open = builtins.open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if file == model_path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    srv = make_server(ServiceConfig(bind="127.0.0.1:0", model_path=model_path))
+    srv.server_close()
+    monkeypatch.undo()
+    assert len(opened) == 1
+    with open(model_path, "rb") as fh:
+        assert srv.model_hash == short_hash(fh.read())
