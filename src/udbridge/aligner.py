@@ -81,11 +81,18 @@ class TranslationTable:
     @classmethod
     def loads(cls, text: str) -> "TranslationTable":
         table = cls()
-        for line in text.splitlines():
+        for line_no, line in enumerate(text.splitlines(), start=1):
             if not line or line.startswith("#"):
                 continue
-            src, tgt, prob = line.split("\t")
-            table.t.setdefault(src, {})[tgt] = float(prob)
+            try:
+                src, tgt, prob = line.split("\t")
+                value = float(prob)
+            except ValueError:
+                raise DataError(
+                    f"translation table line {line_no}: expected"
+                    f" source<TAB>target<TAB>probability, got {line!r}"
+                ) from None
+            table.t.setdefault(src, {})[tgt] = value
         return table
 
 

@@ -136,22 +136,16 @@ def cmd_translate(args, stdin, stdout, stderr) -> int:
 
 def cmd_align(args, stdin, stdout, stderr) -> int:
     pairs = read_bitext(_read_input(args, stdin))
+    cfg = AlignerConfig(
+        iterations=args.iterations,
+        lambda_=args.lambda_,
+        null_prob=args.null_prob,
+        seed=args.seed,
+    )
     if args.load_table:
-        with open(args.load_table, encoding="utf-8") as fh:
-            table = TranslationTable.loads(fh.read())
-        table.config = AlignerConfig(
-            iterations=args.iterations,
-            lambda_=getattr(args, "lambda_"),
-            null_prob=args.null_prob,
-            seed=args.seed,
-        )
+        table = TranslationTable.loads(_read_file(args.load_table))
+        table.config = cfg
     else:
-        cfg = AlignerConfig(
-            iterations=args.iterations,
-            lambda_=getattr(args, "lambda_"),
-            null_prob=args.null_prob,
-            seed=args.seed,
-        )
         table = train_aligner(pairs, cfg)
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:
@@ -445,7 +439,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except UdbridgeError as err:
         stderr.write(f"error: {err}\n")
         return 2
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         stderr.write(f"error: {err}\n")
         return 2
 

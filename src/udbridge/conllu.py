@@ -12,6 +12,7 @@ sorts FEATS keys, and reconstructs the `text` comment from token forms plus
 SpaceAfter, so serialize(parse(x)) is a fixpoint after one pass.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import ConlluParseError, ValidationError
@@ -52,6 +53,17 @@ class Token:
 
     def space_after(self) -> bool:
         return "SpaceAfter=No" not in self.misc.split("|")
+
+    def columns(self) -> tuple[str, str, str, str, str, str]:
+        """LEMMA, UPOS, XPOS, FEATS, HEAD and DEPREL as written, "_" when unset."""
+        return (
+            self.lemma if self.lemma is not None else "_",
+            self.upos if self.upos is not None else "_",
+            self.xpos if self.xpos is not None else "_",
+            self.feats_string(),
+            str(self.head) if self.head is not None else "_",
+            self.deprel if self.deprel is not None else "_",
+        )
 
     def copy(self) -> "Token":
         return Token(
@@ -125,6 +137,22 @@ class Sentence:
     def genre(self, value: str) -> None:
         self._set_comment("genre", value)
 
+    def surface_units(self) -> Iterator[tuple[str, int, bool]]:
+        """The surface tokens in order, as (surface form, number of words
+        covered, SpaceAfter); a multiword range is one unit."""
+        range_at = {r.start: r for r in self.ranges}
+        toks = self.tokens
+        i = 0
+        while i < len(toks):
+            rng = range_at.get(toks[i].id)
+            if rng is not None:
+                covered = rng.end - rng.start + 1
+                yield rng.surface_form, covered, rng.space_after()
+            else:
+                covered = 1
+                yield toks[i].form, covered, toks[i].space_after()
+            i += covered
+
     def text(self) -> str:
         return _layout(self)[0]
 
@@ -164,36 +192,24 @@ class Document:
 def _layout(sentence: Sentence) -> tuple[str, list[tuple[int, int]]]:
     """Reconstruct sentence text from forms + SpaceAfter and give each token
     its char span. Tokens covered by a multiword range share the range's span."""
-    range_at = {r.start: r for r in sentence.ranges}
     parts: list[str] = []
     spans: list[tuple[int, int]] = []
     pos = 0
-    i = 0
-    toks = sentence.tokens
-    while i < len(toks):
-        rng = range_at.get(toks[i].id)
-        if rng is not None:
-            start = pos
-            pos += len(rng.surface_form)
-            parts.append(rng.surface_form)
-            covered = rng.end - rng.start + 1
-            spans.extend([(start, pos)] * covered)
-            i += covered
-            last_unit_space = rng.space_after()
-        else:
-            start = pos
-            pos += len(toks[i].form)
-            parts.append(toks[i].form)
-            spans.append((start, pos))
-            last_unit_space = toks[i].space_after()
-            i += 1
-        if i < len(toks) and last_unit_space:
+    space = False
+    for form, covered, space_after in sentence.surface_units():
+        if space:
             parts.append(" ")
             pos += 1
+        parts.append(form)
+        spans.extend([(pos, pos + len(form))] * covered)
+        pos += len(form)
+        space = space_after
     return "".join(parts), spans
 
 
-def _parse_feats(text: str, line_no: int) -> dict[str, str]:
+def parse_feats(text: str, line_no: int | None = None) -> dict[str, str]:
+    """A FEATS column as a dict; the inverse of `Token.feats_string`.
+    Raises ConlluParseError or ValidationError on a malformed column."""
     if text == "_":
         return {}
     feats: dict[str, str] = {}
@@ -303,7 +319,7 @@ def parse_conllu(text: str) -> Document:
                 lemma=_opt(lemma),
                 upos=_opt(upos),
                 xpos=_opt(xpos),
-                feats=_parse_feats(feats, line_no),
+                feats=parse_feats(feats, line_no),
                 head=None if head == "_" else int(head),
                 deprel=_opt(deprel),
                 deps=deps,
@@ -431,20 +447,7 @@ def serialize_conllu(doc: Document) -> str:
                     )
                 )
             lines.append(
-                "\t".join(
-                    [
-                        str(tok.id),
-                        tok.form,
-                        tok.lemma if tok.lemma is not None else "_",
-                        tok.upos if tok.upos is not None else "_",
-                        tok.xpos if tok.xpos is not None else "_",
-                        tok.feats_string(),
-                        str(tok.head) if tok.head is not None else "_",
-                        tok.deprel if tok.deprel is not None else "_",
-                        tok.deps,
-                        tok.misc,
-                    ]
-                )
+                "\t".join([str(tok.id), tok.form, *tok.columns(), tok.deps, tok.misc])
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
@@ -473,22 +476,7 @@ def serialize_tsv(doc: Document, doc_id: str | None = None) -> str:
     for sent in doc.sentences:
         sid = sent.sent_id or ""
         for tok in sent.tokens:
-            out.append(
-                "\t".join(
-                    [
-                        doc_id,
-                        sid,
-                        str(tok.id),
-                        tok.form,
-                        tok.lemma if tok.lemma is not None else "_",
-                        tok.upos if tok.upos is not None else "_",
-                        tok.xpos if tok.xpos is not None else "_",
-                        tok.feats_string(),
-                        str(tok.head) if tok.head is not None else "_",
-                        tok.deprel if tok.deprel is not None else "_",
-                    ]
-                )
-            )
+            out.append("\t".join([doc_id, sid, str(tok.id), tok.form, *tok.columns()]))
     return "\n".join(out) + "\n"
 
 

@@ -35,10 +35,10 @@ METRIC_ORDER = (
 @dataclass
 class _Word:
     span: tuple[int, int]
+    lemma: str
     upos: str
     xpos: str
     feats: str
-    lemma: str
     deprel: str
     head_index: int | None  # global word index of the head; -1 for root; None unset
 
@@ -52,45 +52,21 @@ def _flatten(doc: Document) -> tuple[list[_Word], list[tuple[int, int]], str]:
     for sent in doc.sentences:
         base = len(words)
         sent_start = pos
-        range_at = {r.start: r for r in sent.ranges}
-        i = 0
-        toks = sent.tokens
         spans: list[tuple[int, int]] = []
-        while i < len(toks):
-            rng = range_at.get(toks[i].id)
-            if rng is not None:
-                surface = "".join(rng.surface_form.split())
-                span = (pos, pos + len(surface))
-                chars.append(surface)
-                pos += len(surface)
-                for _ in range(rng.end - rng.start + 1):
-                    spans.append(span)
-                    i += 1
-            else:
-                surface = "".join(toks[i].form.split())
-                span = (pos, pos + len(surface))
-                chars.append(surface)
-                pos += len(surface)
-                spans.append(span)
-                i += 1
-        for tok, span in zip(toks, spans):
+        for form, covered, _ in sent.surface_units():
+            surface = "".join(form.split())
+            chars.append(surface)
+            spans.extend([(pos, pos + len(surface))] * covered)
+            pos += len(surface)
+        for tok, span in zip(sent.tokens, spans):
             if tok.head is None:
                 head_index = None
             elif tok.head == 0:
                 head_index = -1
             else:
                 head_index = base + tok.head - 1
-            words.append(
-                _Word(
-                    span=span,
-                    upos=tok.upos if tok.upos is not None else "_",
-                    xpos=tok.xpos if tok.xpos is not None else "_",
-                    feats=tok.feats_string(),
-                    lemma=tok.lemma if tok.lemma is not None else "_",
-                    deprel=tok.deprel if tok.deprel is not None else "_",
-                    head_index=head_index,
-                )
-            )
+            lemma, upos, xpos, feats, _, deprel = tok.columns()
+            words.append(_Word(span, lemma, upos, xpos, feats, deprel, head_index))
         sent_spans.append((sent_start, pos))
     return words, sent_spans, "".join(chars)
 

@@ -25,16 +25,20 @@ class EditScript:
 
     def apply(self, form: str) -> str | None:
         """None when the script does not fit the form."""
-        if self.casing_op == "lower_first":
-            base = form[:1].lower() + form[1:]
-        elif self.casing_op == "lower_all":
-            base = form.lower()
-        else:
-            base = form
+        base = _recase(form, self.casing_op)
         if self.strip_suffix_len > len(base):
             return None
         stem = base[: len(base) - self.strip_suffix_len] if self.strip_suffix_len else base
         return stem + self.append_suffix
+
+
+def _recase(form: str, casing_op: str) -> str:
+    """`form` under one of CASING_OPS."""
+    if casing_op == "lower_first":
+        return form[:1].lower() + form[1:]
+    if casing_op == "lower_all":
+        return form.lower()
+    return form
 
 
 def _common_prefix_len(a: str, b: str) -> int:
@@ -50,12 +54,7 @@ def derive_script(form: str, lemma: str) -> EditScript:
     mildest casing op) that maps form to lemma. Always succeeds."""
     best: tuple[tuple[int, int, int], EditScript] | None = None
     for rank, op in enumerate(CASING_OPS):
-        if op == "lower_first":
-            base = form[:1].lower() + form[1:]
-        elif op == "lower_all":
-            base = form.lower()
-        else:
-            base = form
+        base = _recase(form, op)
         k = _common_prefix_len(base, lemma)
         script = EditScript(len(base) - k, lemma[k:], op)
         key = (script.strip_suffix_len, len(script.append_suffix), rank)

@@ -16,7 +16,7 @@ import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .conllu import Document, serialize_conllu
+from .conllu import Document, Token, parse_feats, serialize_conllu
 from .depparser import SHIFT, ParserModel, train_parser
 from .errors import DataError
 from .lemmatizer import EditScript, LemmaRules, train_lemmatizer
@@ -155,6 +155,11 @@ class PipelineModel:
         for attr in ATTRIBUTES:
             _classes(tagger_classes, attr, "tagger classes")
             _field(tagger_weights, attr, dict, "tagger weights")
+        for label in tagger_classes["feats"]:
+            try:
+                parse_feats(label)
+            except DataError as err:
+                raise DataError(f"tagger feats class {label!r}: {err}") from None
         parser = _field(payload, "parser", dict)
         parser_classes = _classes(parser, "classes", "parser")
         if SHIFT not in parser_classes or len(parser_classes) < 2:
@@ -260,14 +265,27 @@ def train_pipeline(
     return model
 
 
-def _parse_feats_label(label: str) -> dict[str, str]:
-    if label == "_":
-        return {}
-    out = {}
-    for item in label.split("|"):
-        key, _, value = item.partition("=")
-        out[key] = value
-    return out
+def predict_columns(model: PipelineModel, forms: list[str]):
+    """The tagger's and parser's decisions for one token sequence, decoded
+    as five lists with one entry per form: upos, xpos (None for "_"), a
+    feats dict, head and deprel. `annotate` and the direct and pivot
+    projections all predict through here."""
+    predicted = model.tagger.predict(forms)
+    upos = predicted["upos"]
+    heads, deprels = model.parser.parse(forms, upos)
+    xpos = [None if x == "_" else x for x in predicted["xpos"]]
+    feats = [parse_feats(label) for label in predicted["feats"]]
+    return upos, xpos, feats, heads, deprels
+
+
+def set_columns(tokens: list[Token], columns) -> None:
+    """Write `predict_columns` output onto tokens; lemmas are left alone."""
+    for tok, upos, xpos, feats, head, deprel in zip(tokens, *columns):
+        tok.upos = upos
+        tok.xpos = xpos
+        tok.feats = feats
+        tok.head = head
+        tok.deprel = deprel
 
 
 def annotate(source, model: PipelineModel, setting: EvalSetting) -> Document:
@@ -298,18 +316,12 @@ def annotate(source, model: PipelineModel, setting: EvalSetting) -> Document:
                         f"sentence {sent.sent_id}: token {tok.id} has no gold upos"
                         " (required by the goldtokmorph setting)"
                     )
-            tags = [t.upos for t in sent.tokens]
+            heads, deprels = model.parser.parse(forms, [t.upos for t in sent.tokens])
+            for tok, head, deprel in zip(sent.tokens, heads, deprels):
+                tok.head = head
+                tok.deprel = deprel
         else:
-            predicted = model.tagger.predict(forms)
-            tags = predicted["upos"]
-            for i, tok in enumerate(sent.tokens):
-                tok.upos = tags[i]
-                xpos = predicted["xpos"][i]
-                tok.xpos = None if xpos == "_" else xpos
-                tok.feats = _parse_feats_label(predicted["feats"][i])
-                tok.lemma = model.lemma_rules.predict(tok.form, tags[i])
-        heads, deprels = model.parser.parse(forms, tags)
-        for i, tok in enumerate(sent.tokens):
-            tok.head = heads[i]
-            tok.deprel = deprels[i]
+            set_columns(sent.tokens, predict_columns(model, forms))
+            for tok in sent.tokens:
+                tok.lemma = model.lemma_rules.predict(tok.form, tok.upos)
     return doc

@@ -26,7 +26,7 @@ from .aligner import AlignmentLink
 from .conllu import Document, serialize_conllu
 from .errors import DataError
 from .evaluation import ContingencyTable2x2, fisher_exact
-from .pipeline import PipelineModel
+from .pipeline import PipelineModel, predict_columns, set_columns
 from .translate import TranslatorClient
 from .util import round_half_up
 
@@ -59,41 +59,13 @@ class ProjectedDocument:
                 raise DataError("provenance must cover every token")
 
 
-_PROJECTED_FIELDS = "upos, xpos, feats, head, deprel"  # lemma deliberately absent
-
-
-def _annotate_forms(model: PipelineModel, forms: list[str]):
-    """Model predictions for one token sequence (no lemmas)."""
-    predicted = model.tagger.predict(forms)
-    tags = predicted["upos"]
-    heads, deprels = model.parser.parse(forms, tags)
-    xpos = [None if x == "_" else x for x in predicted["xpos"]]
-    feats = []
-    for bundle in predicted["feats"]:
-        if bundle == "_":
-            feats.append({})
-        else:
-            feats.append(dict(item.partition("=")[::2] for item in bundle.split("|")))
-    return tags, xpos, feats, heads, deprels
-
-
-def _apply_annotations(sent_tokens, tags, xpos, feats, heads, deprels) -> None:
-    for i, tok in enumerate(sent_tokens):
-        tok.upos = tags[i]
-        tok.xpos = xpos[i]
-        tok.feats = dict(feats[i])
-        tok.head = heads[i]
-        tok.deprel = deprels[i]
-
-
 def project_direct(doc: Document, model: PipelineModel) -> ProjectedDocument:
     """Annotate target tokens directly with the related-language model."""
     model.require_trained()
     out = doc.copy()
     provenance = []
     for sent in out.sentences:
-        forms = [t.form for t in sent.tokens]
-        _apply_annotations(sent.tokens, *_annotate_forms(model, forms))
+        set_columns(sent.tokens, predict_columns(model, [t.form for t in sent.tokens]))
         provenance.append([TokenProvenance(Procedure.DIRECT) for _ in sent.tokens])
     return ProjectedDocument(document=out, procedure=Procedure.DIRECT, provenance=provenance)
 
@@ -108,7 +80,7 @@ def project_via_pivot(
     for sent in out.sentences:
         forms = [t.form for t in sent.tokens]
         pivot = translator.translate_sentence(forms)
-        _apply_annotations(sent.tokens, *_annotate_forms(model, pivot.pivot_tokens))
+        set_columns(sent.tokens, predict_columns(model, pivot.pivot_tokens))
         fallbacks = pivot.fallbacks or [False] * len(forms)
         provenance.append(
             [

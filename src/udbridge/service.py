@@ -218,7 +218,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(length_header)
         except ValueError:
-            raise _HttpError(400, "bad Content-Length") from None
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would read to EOF, past max_request_bytes
+            raise _HttpError(400, "bad Content-Length")
         if length > self.server.config.max_request_bytes:
             raise _HttpError(413, "request body too large")
         raw = self.rfile.read(length)

@@ -157,7 +157,28 @@ def test_translate_saves_cache(tmp_path):
     assert "de\tnl_de" in cache.read_text(encoding="utf-8")
 
 
+def test_undecodable_input_exits_two(tmp_path):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("De f\xe2n sjocht.\tne\n".encode("latin-1"))
+    for argv in (
+        ["tokenize", str(latin1)],
+        ["translate", "--backend", "lexicon", "--lexicon", str(latin1)],
+    ):
+        code, out, err = run(argv, "de")
+        assert code == 2 and err.startswith("error: "), argv
+        assert out == ""
+
+
 # -------------------------------------------------------------------- align
+
+
+@pytest.mark.parametrize("line", ["a\tx", "a\tx\tlikely", "a\tx\t0.5\t1"])
+def test_align_rejects_malformed_table_lines(tmp_path, line):
+    table = tmp_path / "table.tsv"
+    table.write_text(f"# iterations=1\nb\ty\t1.0\n{line}\n", encoding="utf-8")
+    code, _, err = run(["align", "--load-table", str(table)], "a b ||| x y\n")
+    assert code == 2
+    assert err.startswith("error: translation table line 3:"), err
 
 
 TOY_BITEXT = "\n".join(["a b ||| x y"] * 30 + ["a ||| x"] * 30) + "\n"

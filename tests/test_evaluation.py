@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from oracles import brute_token_scores, fisher_exact_fraction
-from synth import make_corpus
+from synth import make_corpus, random_document
 from udbridge.conllu import parse_conllu
 from udbridge.errors import DataError
 from udbridge.evaluation import (
@@ -15,6 +15,7 @@ from udbridge.evaluation import (
     build_cv_plan,
     cross_validate,
     cv_summary_tsv,
+    _flatten,
     evaluate,
     fisher_exact,
 )
@@ -160,6 +161,20 @@ def test_mwt_surface_shares_spans():
     # only match the first of them
     assert split_vs_flat.matched_tokens == 2
     assert split_vs_flat.f1_words == 80.0
+
+
+def test_flattened_spans_strip_the_whitespace_of_char_spans():
+    rng = random.Random(41)
+    for i in range(40):
+        doc = random_document(rng, f"f{i}")
+        words, _, chars = _flatten(doc)
+        tokens = [(sent.text(), tok) for sent in doc.sentences for tok in sent.tokens]
+        assert len(words) == len(tokens)
+        for word, (text, tok) in zip(words, tokens):
+            start, end = tok.char_span
+            surface = "".join(text[start:end].split())
+            assert word.span[1] - word.span[0] == len(surface)
+            assert chars[word.span[0] : word.span[1]] == surface
 
 
 def test_rejects_different_underlying_text():

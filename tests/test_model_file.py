@@ -97,6 +97,16 @@ def test_other_malformed_fields_are_data_errors(payload, tmp_path, mutate):
         PipelineModel.load(write(tmp_path, bad))
 
 
+def test_unparseable_feats_class_is_a_data_error(payload, tmp_path):
+    bad = json.loads(json.dumps(payload))
+    bad["tagger"]["classes"]["feats"].append("Case")
+    path = write(tmp_path, bad)
+    with pytest.raises(DataError, match="tagger feats class 'Case'"):
+        PipelineModel.load(path)
+    code, err = annotate_exit(path)
+    assert code == 2 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("body", [[], "text", {"format": "udbridge-pipeline", "version": 1}])
 def test_non_model_json_is_a_data_error(tmp_path, body):
     with pytest.raises(DataError):

@@ -6,7 +6,7 @@ from udbridge.aligner import AlignmentLink
 from udbridge.conllu import parse_conllu, serialize_conllu
 from udbridge.errors import DataError
 from udbridge.evaluation import ContingencyTable2x2, fisher_exact
-from udbridge.pipeline import train_pipeline
+from udbridge.pipeline import EvalSetting, annotate, train_pipeline
 from udbridge.projection import (
     Procedure,
     ProcedureComparison,
@@ -77,6 +77,18 @@ def test_lemma_is_never_projected(fy_model):
     ]
     for out in outputs:
         assert all(t.lemma == "KEEPME" for s in out.sentences for t in s.tokens)
+
+
+def test_direct_projection_predicts_like_gold_tok_annotation(fy_model):
+    doc = make_corpus(40, seed=33)
+    annotated = annotate(doc, fy_model, EvalSetting.GOLD_TOK)
+    projected = project_direct(doc, fy_model).document
+    pairs = zip(doc.tokens(), annotated.tokens(), projected.tokens(), strict=True)
+    for gold, ann, proj in pairs:
+        assert (proj.upos, proj.xpos, proj.feats, proj.head, proj.deprel) == (
+            ann.upos, ann.xpos, ann.feats, ann.head, ann.deprel
+        )
+        assert proj.lemma == gold.lemma
 
 
 def test_pivot_through_lexicon(nl_model):

@@ -250,6 +250,18 @@ def test_oversize_request_is_413(server):
     assert headers.get("Connection") == "close"
 
 
+def test_negative_content_length_is_400(server):
+    # a body larger than max_request_bytes, and no half-close: a server
+    # that reads to EOF never answers, and the client timeout fails the test
+    body = json.dumps({"text": "wat " * 2500}).encode("utf-8")
+    assert len(body) > server.config.max_request_bytes
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(b"POST /annotate HTTP/1.1\r\nHost: udbridge\r\n"
+                     b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n" + body)
+        reply = sock.recv(4096)
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+
+
 def test_bad_json_is_400(server):
     host, port = server.server_address[:2]
     conn = http.client.HTTPConnection(host, port, timeout=10)
