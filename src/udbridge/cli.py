@@ -60,6 +60,7 @@ from .translate import (
     TranslatorClient,
     load_lexicon,
 )
+from .util import read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,10 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_input(args, stdin) -> str:
     path = getattr(args, "input", None)
-    if path in (None, "-"):
-        return stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    return stdin.read() if path in (None, "-") else read_text(path)
 
 
 def _tokenizer_cfg(args) -> TokenizerConfig:
@@ -143,7 +141,7 @@ def cmd_align(args, stdin, stdout, stderr) -> int:
         seed=args.seed,
     )
     if args.load_table:
-        table = TranslationTable.loads(_read_file(args.load_table))
+        table = TranslationTable.loads(read_text(args.load_table))
         table.config = cfg
     else:
         table = train_aligner(pairs, cfg)
@@ -161,7 +159,7 @@ def cmd_align(args, stdin, stdout, stderr) -> int:
 
 
 def cmd_train(args, stdin, stdout, stderr) -> int:
-    train_doc = parse_conllu(_read_file(args.train))
+    train_doc = parse_conllu(read_text(args.train))
     dev_doc = None
     if args.split:
         train_doc, dev_doc, test_doc = split_corpus(train_doc, SplitSpec(seed=args.seed))
@@ -169,7 +167,7 @@ def cmd_train(args, stdin, stdout, stderr) -> int:
             with open(args.test_out, "w", encoding="utf-8") as fh:
                 fh.write(serialize_conllu(test_doc))
     elif args.dev:
-        dev_doc = parse_conllu(_read_file(args.dev))
+        dev_doc = parse_conllu(read_text(args.dev))
     model = train_pipeline(
         train_doc,
         dev_doc,
@@ -184,11 +182,6 @@ def cmd_train(args, stdin, stdout, stderr) -> int:
         + f" -> {args.out}\n"
     )
     return 0
-
-
-def _read_file(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def cmd_annotate(args, stdin, stdout, stderr) -> int:
@@ -217,8 +210,8 @@ def cmd_project(args, stdin, stdout, stderr) -> int:
     else:
         if not args.source or not args.links:
             raise UsageError("--procedure align needs --source and --links")
-        source = parse_conllu(_read_file(args.source))
-        link_lines = _read_file(args.links).splitlines()
+        source = parse_conllu(read_text(args.source))
+        link_lines = read_text(args.links).splitlines()
         links = [parse_links(line) for line in link_lines]
         projected = project_via_alignment(source, target, links)
     if args.provenance:
@@ -229,8 +222,8 @@ def cmd_project(args, stdin, stdout, stderr) -> int:
 
 
 def cmd_evaluate(args, stdin, stdout, stderr) -> int:
-    gold = parse_conllu(_read_file(args.gold))
-    system = parse_conllu(_read_file(args.system))
+    gold = parse_conllu(read_text(args.gold))
+    system = parse_conllu(read_text(args.system))
     report = evaluate(gold, system, EvalSetting.parse(args.setting))
     stdout.write(report.to_tsv())
     return 0

@@ -478,15 +478,3 @@ def serialize_tsv(doc: Document, doc_id: str | None = None) -> str:
         for tok in sent.tokens:
             out.append("\t".join([doc_id, sid, str(tok.id), tok.form, *tok.columns()]))
     return "\n".join(out) + "\n"
-
-
-def read_conllu_file(path: str) -> Document:
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_conllu(fh.read())
-    doc.metadata["path"] = path
-    return doc
-
-
-def write_conllu_file(path: str, doc: Document) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_conllu(doc))

@@ -13,8 +13,8 @@ class DataError(UdbridgeError):
     """Invalid input data (malformed file, inconsistent document, bad request)."""
 
 
-class ConlluParseError(DataError):
-    """A CoNLL-U file could not be parsed. Carries the 1-based line number."""
+class _LineError(DataError):
+    """A DataError that carries the 1-based line number it was found at."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -23,14 +23,12 @@ class ConlluParseError(DataError):
         super().__init__(message)
 
 
-class ValidationError(DataError):
+class ConlluParseError(_LineError):
+    """A CoNLL-U file could not be parsed."""
+
+
+class ValidationError(_LineError):
     """A document violates a structural constraint (ids, heads, ranges)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class UsageError(UdbridgeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .conllu import Document
 from .errors import DataError
-from .pipeline import EvalSetting
+from .pipeline import EvalSetting, annotate
 from .util import round_half_up
 
 METRIC_ORDER = (
@@ -248,8 +248,6 @@ def cross_validate(
     per-setting summaries hold mean and sample standard deviation (n-1)
     over the k folds, rounded like the per-fold values.
     """
-    from .pipeline import annotate
-
     plan = build_cv_plan(len(corpus.sentences), k, seed)
     reports: dict[EvalSetting, list[EvalReport]] = {s: [] for s in settings}
     for i in range(1, k + 1):

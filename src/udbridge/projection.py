@@ -28,7 +28,7 @@ from .errors import DataError
 from .evaluation import ContingencyTable2x2, fisher_exact
 from .pipeline import PipelineModel, predict_columns, set_columns
 from .translate import TranslatorClient
-from .util import round_half_up
+from .util import percentage
 
 
 class Procedure(Enum):
@@ -226,7 +226,7 @@ def score_procedure(gold: Document, projected: ProjectedDocument) -> tuple[int, 
             correct += gt.upos == st.upos
     if total == 0:
         raise DataError("empty gold document")
-    return correct, total, round_half_up(100.0 * correct / total, 1)
+    return correct, total, percentage(correct, total)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .conllu import Document, parse_conllu, serialize_conllu, serialize_tsv
 from .errors import DataError, UdbridgeError
 from .pipeline import EvalSetting, PipelineModel, annotate, read_model_file
 from .stats import cooccurrence, top_tokens_per_upos, upos_frequencies
-from .util import short_hash
+from .util import read_text, short_hash
 
 BIND_ENV_VAR = "UDBRIDGE_BIND"
 FORMATS = ("conllu", "tsv", "json")
@@ -55,8 +55,8 @@ class ServiceConfig:
         if self.workers < 1:
             raise DataError("workers must be >= 1")
         host, _, port = self.bind.rpartition(":")
-        if not host or not port.isdigit():
-            raise DataError(f"bind address must be host:port, got {self.bind!r}")
+        if not host or not port.isdecimal() or int(port) > 65535:
+            raise DataError(f"bind address must be host:port (port 0-65535), got {self.bind!r}")
 
     @property
     def host(self) -> str:
@@ -70,18 +70,17 @@ class ServiceConfig:
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a key=value config file. '#' starts a comment line."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key not in _CONFIG_KEYS:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -292,7 +291,7 @@ class _Handler(BaseHTTPRequestHandler):
             rows = [[tag, count] for tag, count in upos_frequencies(doc)]
         elif report == "top":
             top_n = payload.get("top_n", 10)
-            if not isinstance(top_n, int) or top_n < 1:
+            if type(top_n) is not int or top_n < 1:
                 raise _HttpError(400, "top_n must be a positive integer")
             rows = []
             for tag, items in top_tokens_per_upos(doc, top_n).items():
@@ -305,7 +304,7 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(upos_filter, str) or not upos_filter:
                 raise _HttpError(400, "report 'cooc' needs upos_filter")
             min_weight = payload.get("min_weight", 1)
-            if not isinstance(min_weight, int) or min_weight < 1:
+            if type(min_weight) is not int or min_weight < 1:
                 raise _HttpError(400, "min_weight must be a positive integer")
             edges = cooccurrence(doc, upos_filter, min_weight)
             rows = [[e.lemma_a, e.lemma_b, e.weight] for e in edges]

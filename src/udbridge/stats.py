@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .conllu import Document
 from .errors import DataError
-from .util import round_half_up
+from .util import percentage
 
 
 @dataclass
@@ -63,11 +63,9 @@ def genre_table_from_counts(rows: list[tuple[str, int, int, int]]) -> GenreTable
                 tokens=tokens,
                 words=words,
                 sentences=sentences,
-                tokens_pct=int(round_half_up(100.0 * tokens / table.total_tokens)),
-                words_pct=int(round_half_up(100.0 * words / table.total_words)),
-                sentences_pct=int(
-                    round_half_up(100.0 * sentences / table.total_sentences)
-                ),
+                tokens_pct=int(percentage(tokens, table.total_tokens, 0)),
+                words_pct=int(percentage(words, table.total_words, 0)),
+                sentences_pct=int(percentage(sentences, table.total_sentences, 0)),
             )
         )
     return table

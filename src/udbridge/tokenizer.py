@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .conllu import Document, Sentence, Token
 from .errors import DataError
+from .util import read_text
 
 # Split characters: common punctuation, quotes and brackets. Hyphen is
 # deliberately absent so hyphenated words stay single tokens.
@@ -40,13 +41,8 @@ class TokenizerConfig:
 
 def load_abbreviations(path: str) -> set[str]:
     """One abbreviation per line; blank lines and #-comments ignored."""
-    out: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.strip()
-            if entry and not entry.startswith("#"):
-                out.add(entry)
-    return out
+    entries = (line.strip() for line in read_text(path).split("\n"))
+    return {e for e in entries if e and not e.startswith("#")}
 
 
 def _is_terminator(token: str, cfg: TokenizerConfig) -> bool:

@@ -14,6 +14,7 @@ a persistent TSV cache keyed case-sensitively by the source word.
 
 import json
 import logging
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DataError
+from .util import read_text
 
 log = logging.getLogger(__name__)
 
@@ -44,27 +46,12 @@ class LexiconCache:
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._data: dict[str, str] = {}
+        # a cache file that does not exist yet starts empty
+        exists = path is not None and os.path.exists(path)
+        self._data: dict[str, str] = load_lexicon(path) if exists else {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        if path is not None:
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        try:
-            fh = open(path, encoding="utf-8")
-        except FileNotFoundError:
-            return
-        with fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise DataError(f"lexicon line {line_no}: expected source<TAB>target")
-                src, _, tgt = line.partition("\t")
-                self._data[src] = tgt
 
     def lookup(self, word: str) -> str | None:
         value = self._data.get(word)
@@ -93,7 +80,15 @@ class LexiconCache:
 
 def load_lexicon(path: str) -> dict[str, str]:
     """Read a source<TAB>target TSV into a plain dict."""
-    return dict(LexiconCache(path)._data)
+    out: dict[str, str] = {}
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"lexicon line {line_no}: expected source<TAB>target")
+        src, _, tgt = line.partition("\t")
+        out[src] = tgt
+    return out
 
 
 @dataclass

@@ -1,7 +1,9 @@
-"""Small shared helpers: rounding and hashing."""
+"""Small shared helpers: rounding, hashing and reading text files."""
 
 import hashlib
 from decimal import ROUND_HALF_UP, Decimal
+
+from .errors import DataError
 
 
 def round_half_up(value: float, decimals: int = 0) -> float:
@@ -23,3 +25,13 @@ def percentage(count: int, total: int, decimals: int = 1) -> float:
 def short_hash(data: bytes, length: int = 12) -> str:
     """Stable short identifier for model files and corpora."""
     return hashlib.sha256(data).hexdigest()[:length]
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a missing or undecodable file is a
+    DataError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read {path}: {err}") from None

@@ -169,6 +169,57 @@ def test_undecodable_input_exits_two(tmp_path):
         assert out == ""
 
 
+def test_missing_lexicon_is_an_error(tmp_path):
+    missing = str(tmp_path / "nosuch.tsv")
+    code, out, err = run(["translate", "--backend", "lexicon", "--lexicon", missing], "de man")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {missing}: "), err
+    assert out == ""
+
+
+def _undecodable_file(path) -> str:
+    path.write_bytes("De f\xe2n\tne\n".encode("latin-1"))
+    return str(path)
+
+
+def test_undecodable_second_input_is_named(tmp_path):
+    bitext = tmp_path / "bitext.txt"
+    bitext.write_text(TOY_BITEXT, encoding="utf-8")
+    table = _undecodable_file(tmp_path / "latin1.tsv")
+    code, out, err = run(["align", str(bitext), "--load-table", table])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {table}: 'utf-8' codec"), err
+
+    ok = tmp_path / "ok.conllu"
+    ok.write_text(serialize_conllu(make_corpus(5, seed=2)), encoding="utf-8")
+    dev = _undecodable_file(tmp_path / "latin1.conllu")
+    argv = ["train", "--train", str(ok), "--dev", dev, "--out", str(tmp_path / "m.json")]
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {dev}: 'utf-8' codec"), err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("reader", ["abbreviations", "config", "cache", "system", "links"])
+def test_every_reader_names_an_undecodable_file(tmp_path, reader):
+    bad = _undecodable_file(tmp_path / "bad.txt")
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_conllu(make_corpus(3, seed=4)), encoding="utf-8")
+    argv, stdin = {
+        "abbreviations": (["tokenize", "--abbreviations", bad], "De man rint."),
+        "config": (["serve", "--config", bad], ""),
+        "cache": (["translate", "--cache", bad], "de man"),
+        "system": (["evaluate", "--gold", str(gold), "--system", bad], ""),
+        "links": (
+            ["project", "--procedure", "align", "--source", str(gold), "--links", bad],
+            gold.read_text(encoding="utf-8"),
+        ),
+    }[reader]
+    code, out, err = run(argv, stdin)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec"), err
+
+
 # -------------------------------------------------------------------- align
 
 
@@ -413,3 +464,9 @@ def test_stats_cooc_needs_filter():
 def test_serve_without_model_exits_two():
     code, _, err = run(["serve"])
     assert code == 2 and err.startswith("error: ")
+
+
+def test_serve_rejects_a_port_out_of_range(model_path):
+    code, out, err = run(["serve", "--model", model_path, "--bind", "127.0.0.1:99999"])
+    assert code == 2 and out == ""
+    assert err == "error: bind address must be host:port (port 0-65535), got '127.0.0.1:99999'\n"

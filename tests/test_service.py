@@ -315,6 +315,29 @@ def test_stats_endpoint(server):
     assert status == 400
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"report": "top", "top_n": True},
+        {"report": "top", "top_n": 2.0},
+        {"report": "cooc", "upos_filter": "NOUN", "min_weight": True},
+        {"report": "cooc", "upos_filter": "NOUN", "min_weight": False},
+    ],
+)
+def test_stats_counts_must_be_integers(server, extra):
+    status, _, body = request(server, "POST", "/stats", {"text": "De man rint.", **extra})
+    assert status == 400
+    assert "must be a positive integer" in json.loads(body)["error"]
+
+
+def test_config_rejects_a_port_out_of_range(model_path):
+    assert ServiceConfig(model_path=model_path, bind="127.0.0.1:65535").port == 65535
+    with pytest.raises(DataError, match=r"port 0-65535\), got '127\.0\.0\.1:65536'"):
+        ServiceConfig(model_path=model_path, bind="127.0.0.1:65536")
+    with pytest.raises(DataError, match="bind"):
+        ServiceConfig(model_path=model_path, bind="127.0.0.1:²")
+
+
 def test_concurrent_requests_identical(server):
     payload = {"text": "De man sjocht it hûs by de wei."}
     results = [None] * 20
