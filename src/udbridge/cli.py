@@ -125,7 +125,7 @@ def cmd_translate(args, stdin, stdout, stderr) -> int:
             continue
         pivot = client.translate_sentence(tokens)
         stdout.write(" ".join(pivot.pivot_tokens) + "\n")
-    if client.cache is not None and args.cache:
+    if client.cache is not None:
         client.cache.save()
     if client.fallback_count:
         stderr.write(f"fallbacks: {client.fallback_count}\n")
@@ -206,7 +206,10 @@ def cmd_project(args, stdin, stdout, stderr) -> int:
     elif args.procedure == "pivot":
         if model is None:
             raise UsageError("--procedure pivot needs --model")
-        projected = project_via_pivot(target, model, _build_translator(args))
+        client = _build_translator(args)
+        projected = project_via_pivot(target, model, client)
+        if client.cache is not None:
+            client.cache.save()
     else:
         if not args.source or not args.links:
             raise UsageError("--procedure align needs --source and --links")

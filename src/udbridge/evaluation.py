@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .conllu import Document
 from .errors import DataError
+from .parallel import map_jobs
 from .pipeline import EvalSetting, annotate
 from .util import round_half_up
 
@@ -246,28 +247,37 @@ def cross_validate(
 
     train_fn(train_doc, dev_doc) must return a trained PipelineModel. The
     per-setting summaries hold mean and sample standard deviation (n-1)
-    over the k folds, rounded like the per-fold values.
+    over the k folds, rounded like the per-fold values. The folds share
+    nothing and run through `parallel.map_jobs`, so train_fn may run in a
+    forked child: only the reports come back from it.
     """
     plan = build_cv_plan(len(corpus.sentences), k, seed)
-    reports: dict[EvalSetting, list[EvalReport]] = {s: [] for s in settings}
-    for i in range(1, k + 1):
+
+    def doc_for(set_numbers: list[int]) -> Document:
+        indices = [idx for no in set_numbers for idx in plan.sets[no - 1]]
+        return Document(sentences=[corpus.sentences[idx].copy() for idx in indices])
+
+    def run_fold(i: int) -> list[EvalReport]:
+        """Train fold i and score its test set, one report per setting."""
         test_no, val_no, train_nos = plan.fold(i)
-
-        def doc_for(set_numbers: list[int]) -> Document:
-            indices = [idx for no in set_numbers for idx in plan.sets[no - 1]]
-            return Document(sentences=[corpus.sentences[idx].copy() for idx in indices])
-
         test_doc = doc_for([test_no])
         val_doc = doc_for([val_no])
         train_doc = doc_for(train_nos)
         model = train_fn(train_doc, val_doc)
+        fold_reports = []
         for setting in settings:
             if setting is EvalSetting.RAW_TEXT:
                 source = "\n".join(s.text() for s in test_doc.sentences)
             else:
                 source = test_doc
             system = annotate(source, model, setting)
-            reports[setting].append(evaluate(test_doc, system, setting))
+            fold_reports.append(evaluate(test_doc, system, setting))
+        return fold_reports
+
+    reports: dict[EvalSetting, list[EvalReport]] = {s: [] for s in settings}
+    for fold_reports in map_jobs(run_fold, range(1, k + 1)):
+        for setting, report in zip(settings, fold_reports):
+            reports[setting].append(report)
 
     summaries: dict[EvalSetting, FoldSummary] = {}
     for setting in settings:

@@ -20,6 +20,7 @@ from .conllu import Document, Token, parse_feats, serialize_conllu
 from .depparser import SHIFT, ParserModel, train_parser
 from .errors import DataError
 from .lemmatizer import EditScript, LemmaRules, train_lemmatizer
+from .parallel import map_jobs
 from .tagger import ATTRIBUTES, TaggerModel, train_tagger
 from .tokenizer import TokenizerConfig, tokenize
 from .util import short_hash
@@ -249,11 +250,20 @@ def train_pipeline(
     seed: int = 13,
     tokenizer_cfg: TokenizerConfig | None = None,
 ) -> PipelineModel:
-    """Train tagger, lemmatizer and parser on one gold corpus."""
+    """Train tagger, lemmatizer and parser on one gold corpus.
+
+    The parser trains on gold tags, so it shares nothing with the tagger
+    and trains beside it on a second process where there is one; errors
+    come in the order tagger, lemmatizer, parser, as in one process."""
+    jobs = [
+        lambda: (train_tagger(train, dev, epochs=epochs, seed=seed), train_lemmatizer(train)),
+        lambda: train_parser(train, dev, epochs=epochs, seed=seed),
+    ]
+    (tagger, lemma_rules), parser = map_jobs(lambda job: job(), jobs)
     model = PipelineModel(
-        tagger=train_tagger(train, dev, epochs=epochs, seed=seed),
-        lemma_rules=train_lemmatizer(train),
-        parser=train_parser(train, dev, epochs=epochs, seed=seed),
+        tagger=tagger,
+        lemma_rules=lemma_rules,
+        parser=parser,
         tokenizer_cfg=tokenizer_cfg if tokenizer_cfg is not None else TokenizerConfig(),
         metadata={
             "seed": seed,

@@ -337,6 +337,19 @@ def test_train_with_split_writes_test_cut(tmp_path):
     assert len(parse_conllu(open(test_file, encoding="utf-8").read()).sentences) == 5
 
 
+def test_train_parser_error_exits_two(tmp_path, two_cpus):
+    gold = make_corpus(30, seed=3)
+    gold.sentences[5].tokens[1].head = None
+    train_file = tmp_path / "train.conllu"
+    train_file.write_text(serialize_conllu(gold), encoding="utf-8")
+    model_file = tmp_path / "model.json"
+    code, _, err = run(["train", "--train", str(train_file), "--out", str(model_file)])
+    assert code == 2
+    assert err == "error: sentence synth-6: token 2 has no head\n"
+    assert not model_file.exists()
+    assert len(two_cpus) == 1  # the parser trained in a child
+
+
 def test_annotate_tsv_format(model_path):
     code, out, _ = run(
         ["annotate", "--model", model_path, "--format", "tsv"], "De man rint."
@@ -376,6 +389,32 @@ def test_project_direct_with_provenance(model_path):
 def test_project_pivot_needs_model():
     code, _, err = run(["project", "--procedure", "pivot"], "")
     assert code == 1 and "usage error" in err
+
+
+def test_project_pivot_saves_its_cache(tmp_path, model_path):
+    target = strip_annotations(make_corpus(3, seed=10))
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("boek\tbook\n", encoding="utf-8")
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("faak\toften\n", encoding="utf-8")
+    code, _, _ = run(
+        [
+            "project",
+            "--procedure",
+            "pivot",
+            "--model",
+            model_path,
+            "--backend",
+            "lexicon",
+            "--lexicon",
+            str(lex),
+            "--cache",
+            str(cache),
+        ],
+        serialize_conllu(target),
+    )
+    assert code == 0
+    assert cache.read_text(encoding="utf-8").splitlines() == ["boek\tbook", "faak\toften"]
 
 
 def test_project_align_via_files(tmp_path, model_path):

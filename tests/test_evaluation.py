@@ -1,3 +1,4 @@
+import os
 import random
 import statistics
 
@@ -289,6 +290,18 @@ def test_cv_summary_tsv_shape():
         cells = line.split("\t")
         assert len(cells) == 3
         float(cells[1]), float(cells[2])
+
+
+def test_cross_validate_forked_equals_inline(monkeypatch, two_cpus):
+    corpus = make_corpus(40, seed=6)
+    settings = (EvalSetting.GOLD_TOK, EvalSetting.RAW_TEXT, EvalSetting.GOLD_TOK_MORPH)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _, reports, summaries = cross_validate(corpus, 4, quick_train, settings, seed=4)
+        runs[cpus] = reports, summaries, cv_summary_tsv(summaries)
+    assert len(two_cpus) == 1  # only the outer map_jobs forks, only on two CPUs
+    assert runs[2] == runs[1]
 
 
 # ------------------------------------------------------------ fisher exact

@@ -286,3 +286,45 @@ def test_pipeline_custom_tokenizer_cfg(tmp_path):
     path = str(tmp_path / "m.json")
     model.save(path)
     assert PipelineModel.load(path).tokenizer_cfg.abbreviations == {"bgl.", "s."}
+
+
+# ------------------------------------------------------- forked training
+
+
+@pytest.mark.parametrize("make, n, seed", [
+    (make_corpus, 60, 7),
+    (make_corpus, 120, 11),
+    (_crossing_corpus, 90, 7),
+])
+def test_forked_training_saves_the_inline_bytes(make, n, seed, tmp_path, monkeypatch, two_cpus):
+    def saved(name):
+        path = tmp_path / name
+        train_pipeline(make(n, seed), make_corpus(20, seed=seed + 1), epochs=2).save(str(path))
+        return path.read_bytes()
+
+    forked = saved("forked.json")
+    assert len(two_cpus) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert saved("inline.json") == forked
+    assert len(two_cpus) == 1
+
+
+def _headless_corpus():
+    """A corpus only the parser rejects: one token has no head."""
+    doc = make_corpus(30, seed=3)
+    doc.sentences[5].tokens[1].head = None
+    return doc
+
+
+def test_a_parser_error_from_the_child_keeps_its_message(two_cpus):
+    with pytest.raises(DataError) as caught:
+        train_pipeline(_headless_corpus(), epochs=1)
+    assert len(two_cpus) == 1
+    assert str(caught.value) == "sentence synth-6: token 2 has no head"
+
+
+def test_the_tagger_error_wins_over_the_parser_error(two_cpus):
+    doc = _headless_corpus()
+    doc.sentences[9].tokens[0].upos = None
+    with pytest.raises(DataError, match="^sentence synth-10: token 1 .* has no gold upos$"):
+        train_pipeline(doc, epochs=1)
