@@ -69,19 +69,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(args, stdin) -> str:
-    path = getattr(args, "input", None)
-    return stdin.read() if path in (None, "-") else read_text(path)
+    return stdin.read() if args.input in (None, "-") else read_text(args.input)
 
 
 def _tokenizer_cfg(args) -> TokenizerConfig:
-    abbr = set()
-    if getattr(args, "abbreviations", None):
-        abbr = load_abbreviations(args.abbreviations)
+    abbr = load_abbreviations(args.abbreviations) if args.abbreviations else set()
     return TokenizerConfig(abbreviations=abbr)
 
 
 def _build_translator(args) -> TranslatorClient:
-    cache = LexiconCache(args.cache) if getattr(args, "cache", None) else None
+    cache = LexiconCache(args.cache) if args.cache else None
     quoting = Quoting(args.quoting)
     if args.backend == "identity":
         backend = IdentityBackend()
@@ -89,15 +86,20 @@ def _build_translator(args) -> TranslatorClient:
         if not args.lexicon:
             raise UsageError("--backend lexicon needs --lexicon FILE")
         backend = StaticLexiconBackend(load_lexicon(args.lexicon))
-    elif args.backend == "remote":
+    else:
         if not args.endpoint:
             raise UsageError("--backend remote needs --endpoint URL")
         backend = RemoteServiceBackend(
             args.endpoint, direction=args.direction, timeout=args.timeout
         )
-    else:
-        raise UsageError(f"unknown backend {args.backend!r}")
     return TranslatorClient(backend, quoting=quoting, cache=cache)
+
+
+def _finish_translation(client: TranslatorClient, stderr) -> None:
+    if client.cache is not None:
+        client.cache.save()
+    if client.fallback_count:
+        stderr.write(f"fallbacks: {client.fallback_count}\n")
 
 
 def _add_translator_flags(sub) -> None:
@@ -119,16 +121,9 @@ def cmd_tokenize(args, stdin, stdout, stderr) -> int:
 def cmd_translate(args, stdin, stdout, stderr) -> int:
     client = _build_translator(args)
     for line in _read_input(args, stdin).splitlines():
-        tokens = line.split()
-        if not tokens:
-            stdout.write("\n")
-            continue
-        pivot = client.translate_sentence(tokens)
+        pivot = client.translate_sentence(line.split())
         stdout.write(" ".join(pivot.pivot_tokens) + "\n")
-    if client.cache is not None:
-        client.cache.save()
-    if client.fallback_count:
-        stderr.write(f"fallbacks: {client.fallback_count}\n")
+    _finish_translation(client, stderr)
     return 0
 
 
@@ -199,17 +194,14 @@ def cmd_annotate(args, stdin, stdout, stderr) -> int:
 def cmd_project(args, stdin, stdout, stderr) -> int:
     model = PipelineModel.load(args.model) if args.model else None
     target = parse_conllu(_read_input(args, stdin))
+    if args.procedure != "align" and model is None:
+        raise UsageError(f"--procedure {args.procedure} needs --model")
     if args.procedure == "direct":
-        if model is None:
-            raise UsageError("--procedure direct needs --model")
         projected = project_direct(target, model)
     elif args.procedure == "pivot":
-        if model is None:
-            raise UsageError("--procedure pivot needs --model")
         client = _build_translator(args)
         projected = project_via_pivot(target, model, client)
-        if client.cache is not None:
-            client.cache.save()
+        _finish_translation(client, stderr)
     else:
         if not args.source or not args.links:
             raise UsageError("--procedure align needs --source and --links")
@@ -282,12 +274,10 @@ def cmd_stats(args, stdin, stdout, stderr) -> int:
         stdout.write(upos_freq_tsv(doc))
     elif args.report == "top":
         stdout.write(top_tokens_tsv(doc, args.top_n))
-    elif args.report == "cooc":
+    else:
         if not args.upos_filter:
             raise UsageError("--report cooc needs --upos-filter")
         stdout.write(cooc_edges_tsv(doc, args.upos_filter, args.min_weight))
-    else:
-        raise UsageError(f"unknown report {args.report!r}")
     return 0
 
 
@@ -432,10 +422,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except UsageError as err:
         stderr.write(f"usage error: {err}\n")
         return 1
-    except UdbridgeError as err:
-        stderr.write(f"error: {err}\n")
-        return 2
-    except (OSError, UnicodeDecodeError) as err:
+    except (UdbridgeError, OSError, UnicodeDecodeError) as err:
         stderr.write(f"error: {err}\n")
         return 2
 

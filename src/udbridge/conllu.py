@@ -418,14 +418,13 @@ def serialize_conllu(doc: Document) -> str:
     blocks: list[str] = []
     for idx, sent in enumerate(doc.sentences, start=1):
         lines: list[str] = []
-        comments = list(sent.comments)
-        if not any(k == "sent_id" for k, _ in comments):
-            comments.insert(0, ("sent_id", str(idx)))
-        if not any(k == "text" for k, _ in comments):
-            pos = 1 if comments and comments[0][0] == "sent_id" else 0
-            comments.insert(pos, ("text", ""))
+        # the sentence is not changed: its comments go on a stand-in
+        head = Sentence(tokens=[], comments=list(sent.comments))
+        if head.sent_id is None:
+            head.sent_id = str(idx)
         reconstructed = sent.text()
-        for key, value in comments:
+        head._set_comment("text", reconstructed)
+        for key, value in head.comments:
             if key is None:
                 lines.append(value)
             elif key == "text":

@@ -200,7 +200,6 @@ class CrossValidationPlan:
     (set 1 when i = k) and trains on the remaining k-2 sets."""
 
     k: int
-    seed: int
     sets: list[list[int]]  # 1-based set number -> original sentence indices
 
     def fold(self, i: int) -> tuple[int, int, list[int]]:
@@ -226,7 +225,7 @@ def build_cv_plan(n_sentences: int, k: int, seed: int = 0) -> CrossValidationPla
     sets: list[list[int]] = [[] for _ in range(k)]
     for pos, sentence_index in enumerate(order):
         sets[pos % k].append(sentence_index)
-    return CrossValidationPlan(k=k, seed=seed, sets=sets)
+    return CrossValidationPlan(k=k, sets=sets)
 
 
 @dataclass
@@ -365,8 +364,6 @@ class BootstrapResult:
     ci_low: float
     ci_high: float
     p_value: float
-    iterations: int
-    seed: int
 
 
 def bootstrap_median_compare(
@@ -403,6 +400,4 @@ def bootstrap_median_compare(
         ci_low=diffs[lo_idx],
         ci_high=diffs[hi_idx],
         p_value=p,
-        iterations=iterations,
-        seed=seed,
     )

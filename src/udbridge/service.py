@@ -184,11 +184,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return ok
 
-    # quiet by default; the server object may carry a log stream
+    # quiet: the base class logs every request to stderr
     def log_message(self, format, *args):
-        stream = getattr(self.server, "log_stream", None)
-        if stream is not None:
-            stream.write(("%s - %s\n" % (self.address_string(), format % args)))
+        pass
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
         if status != 200:
@@ -262,11 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
         fmt = payload.get("format", self.server.config.default_format)
         if fmt not in FORMATS:
             raise _HttpError(400, f"unknown format {fmt!r}")
-        setting_name = payload.get("setting", EvalSetting.RAW_TEXT.value)
-        try:
-            setting = EvalSetting.parse(setting_name)
-        except UdbridgeError as err:
-            raise _HttpError(400, str(err)) from None
+        setting = EvalSetting.parse(payload.get("setting", EvalSetting.RAW_TEXT.value))
         source = text if setting is EvalSetting.RAW_TEXT else parse_conllu(text)
         with self.server.worker_slots:
             doc = annotate(source, self.server.model, setting)
@@ -285,14 +279,21 @@ class _Handler(BaseHTTPRequestHandler):
         report = payload.get("report")
         if report not in ("upos", "top", "cooc"):
             raise _HttpError(400, f"unknown report {report!r}")
+        top_n = payload.get("top_n", 10)
+        upos_filter = payload.get("upos_filter")
+        min_weight = payload.get("min_weight", 1)
+        # checked before annotation takes a worker slot
+        if report == "top" and (type(top_n) is not int or top_n < 1):
+            raise _HttpError(400, "top_n must be a positive integer")
+        if report == "cooc" and not (isinstance(upos_filter, str) and upos_filter):
+            raise _HttpError(400, "report 'cooc' needs upos_filter")
+        if report == "cooc" and (type(min_weight) is not int or min_weight < 1):
+            raise _HttpError(400, "min_weight must be a positive integer")
         with self.server.worker_slots:
             doc = annotate(text, self.server.model, EvalSetting.RAW_TEXT)
         if report == "upos":
             rows = [[tag, count] for tag, count in upos_frequencies(doc)]
         elif report == "top":
-            top_n = payload.get("top_n", 10)
-            if type(top_n) is not int or top_n < 1:
-                raise _HttpError(400, "top_n must be a positive integer")
             rows = []
             for tag, items in top_tokens_per_upos(doc, top_n).items():
                 rows += [
@@ -300,12 +301,6 @@ class _Handler(BaseHTTPRequestHandler):
                     for rank, (form, count) in enumerate(items, start=1)
                 ]
         else:
-            upos_filter = payload.get("upos_filter")
-            if not isinstance(upos_filter, str) or not upos_filter:
-                raise _HttpError(400, "report 'cooc' needs upos_filter")
-            min_weight = payload.get("min_weight", 1)
-            if type(min_weight) is not int or min_weight < 1:
-                raise _HttpError(400, "min_weight must be a positive integer")
             edges = cooccurrence(doc, upos_filter, min_weight)
             rows = [[e.lemma_a, e.lemma_b, e.weight] for e in edges]
         self._send_json(200, {"report": report, "rows": rows})
@@ -316,7 +311,7 @@ class AnnotationServer(ThreadingHTTPServer):
     # the default listen backlog of 5 drops connections under bursts
     request_queue_size = 128
 
-    def __init__(self, config: ServiceConfig, log_stream=None):
+    def __init__(self, config: ServiceConfig):
         self.config = config
         # hash the very bytes that were parsed: a second read could see
         # a file replaced in between
@@ -326,10 +321,9 @@ class AnnotationServer(ThreadingHTTPServer):
         # taken only around annotation, after the request body has been
         # read and checked: a client that stalls mid-request holds none
         self.worker_slots = threading.BoundedSemaphore(config.workers)
-        self.log_stream = log_stream
         super().__init__((config.host, config.port), _Handler)
 
 
-def make_server(config: ServiceConfig, log_stream=None) -> AnnotationServer:
+def make_server(config: ServiceConfig) -> AnnotationServer:
     """Load the model and bind the listening socket. Port 0 picks a free port."""
-    return AnnotationServer(config, log_stream=log_stream)
+    return AnnotationServer(config)

@@ -7,13 +7,14 @@ identity (for tests and for graceful degradation). Some remote engines only
 translate faithfully when the word is sent inside quotes, so the client can
 wrap requests in single or double quotes and strips them from responses.
 
-Failures never raise: after the configured retries the word falls back to
-itself and a fallback event is counted. Successful translations go through
-a persistent TSV cache keyed case-sensitively by the source word.
+A backend answers None for a word it cannot translate, and only backend
+errors are retried. Nothing raises: a miss, a blank answer or an error past
+the retries makes the word fall back to itself, and the fallback is counted.
+Successful translations go through a persistent TSV cache keyed
+case-sensitively by the source word.
 """
 
 import json
-import logging
 import os
 import threading
 import urllib.error
@@ -23,8 +24,6 @@ from enum import Enum
 
 from .errors import DataError
 from .util import read_text
-
-log = logging.getLogger(__name__)
 
 
 class Quoting(Enum):
@@ -110,7 +109,9 @@ class PivotSentence:
 
 
 class Backend:
-    def translate(self, word: str) -> str:
+    def translate(self, word: str) -> str | None:
+        """The translation of `word`, or None when there is none. Raise
+        only when the backend itself fails; the client retries that."""
         raise NotImplementedError
 
 
@@ -120,16 +121,13 @@ class IdentityBackend(Backend):
 
 
 class StaticLexiconBackend(Backend):
-    """Dictionary lookup; missing words raise so the client's fallback fires."""
+    """Dictionary lookup; a missing word has no translation."""
 
     def __init__(self, lexicon: dict[str, str]):
         self.lexicon = dict(lexicon)
 
-    def translate(self, word: str) -> str:
-        try:
-            return self.lexicon[word]
-        except KeyError:
-            raise DataError(f"word {word!r} not in lexicon") from None
+    def translate(self, word: str) -> str | None:
+        return self.lexicon.get(word)
 
 
 class RemoteServiceBackend(Backend):
@@ -140,14 +138,19 @@ class RemoteServiceBackend(Backend):
         self.direction = direction
         self.timeout = timeout
 
-    def translate(self, word: str) -> str:
+    def translate(self, word: str) -> str | None:
         payload = json.dumps({"text": word, "direction": self.direction}).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}
         )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            body = json.loads(response.read().decode("utf-8"))
-        return str(body["translation"])
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                body = json.loads(response.read().decode("utf-8"))
+        except urllib.error.HTTPError as err:
+            with err:  # a non-2xx reply: the error holds the open response
+                raise
+        translation = body["translation"]
+        return None if translation is None else str(translation)
 
 
 class TranslatorClient:
@@ -178,9 +181,10 @@ class TranslatorClient:
         return text
 
     def translate_word(self, word: str) -> str:
-        """Translate one word. Never raises on backend trouble: after
-        max_retries+1 attempts the word is returned unchanged and a fallback
-        event recorded. Multi-word answers collapse to their first item."""
+        """Translate one word. Never raises on backend trouble: a miss, a
+        blank answer or max_retries+1 failed attempts return the word
+        unchanged and count a fallback. Multi-word answers collapse to their
+        first item."""
         if word == "" or any(ch.isspace() for ch in word):
             raise DataError(f"translate_word needs a single non-empty word, got {word!r}")
         if self.cache is not None:
@@ -188,29 +192,21 @@ class TranslatorClient:
             if cached is not None:
                 return cached
         request = self.quoting.char + word + self.quoting.char
-        result: str | None = None
+        answer: str | None = None
         for _ in range(self.max_retries + 1):
+            self.remote_calls += 1
             try:
-                self.remote_calls += 1
-                result = self.backend.translate(request)
+                answer = self.backend.translate(request)
                 break
-            except Exception as err:  # noqa: BLE001 - degrade, never crash
-                last_error = err
-        if result is None:
-            log.warning("translation fallback for %r: %s", word, last_error)
-            self.fallback_count += 1
-            return word
-        result = self._strip_quotes(result.strip())
-        if any(ch.isspace() for ch in result):
-            first = result.split()[0]
-            log.info("multi-word translation %r for %r collapsed to %r", result, word, first)
-            result = first
-        if result == "":
+            except Exception:  # noqa: BLE001 - degrade, never crash
+                continue
+        words = [] if answer is None else self._strip_quotes(answer.strip()).split()
+        if not words:
             self.fallback_count += 1
             return word
         if self.cache is not None:
-            self.cache.store(word, result)
-        return result
+            self.cache.store(word, words[0])
+        return words[0]
 
     def translate_sentence(self, tokens: list[str]) -> PivotSentence:
         pivots = []

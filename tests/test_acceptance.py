@@ -85,6 +85,7 @@ def server(model_path):
     thread.start()
     yield srv
     srv.shutdown()
+    srv.server_close()
     thread.join(timeout=5)
 
 

@@ -334,7 +334,8 @@ def test_train_with_split_writes_test_cut(tmp_path):
     )
     assert code == 0
     assert "trained on 40 sentences, dev 5" in err
-    assert len(parse_conllu(open(test_file, encoding="utf-8").read()).sentences) == 5
+    with open(test_file, encoding="utf-8") as fh:
+        assert len(parse_conllu(fh.read()).sentences) == 5
 
 
 def test_train_parser_error_exits_two(tmp_path, two_cpus):
@@ -415,6 +416,31 @@ def test_project_pivot_saves_its_cache(tmp_path, model_path):
     )
     assert code == 0
     assert cache.read_text(encoding="utf-8").splitlines() == ["boek\tbook", "faak\toften"]
+
+
+def test_project_pivot_reports_fallbacks(tmp_path, model_path):
+    target = strip_annotations(make_corpus(3, seed=10))
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("boek\tbook\n", encoding="utf-8")
+    code, out, err = run(
+        [
+            "project",
+            "--procedure",
+            "pivot",
+            "--model",
+            model_path,
+            "--provenance",
+            "--backend",
+            "lexicon",
+            "--lexicon",
+            str(lex),
+        ],
+        serialize_conllu(target),
+    )
+    assert code == 0
+    fallbacks = out.count("Fallback=yes")
+    assert fallbacks > 0
+    assert err == f"fallbacks: {fallbacks}\n"
 
 
 def test_project_align_via_files(tmp_path, model_path):

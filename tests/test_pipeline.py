@@ -108,7 +108,8 @@ def test_model_save_load_round_trip(model, tmp_path):
 def test_model_file_is_versioned_json(model, tmp_path):
     path = str(tmp_path / "model.json")
     model.save(path)
-    payload = json.loads(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        payload = json.loads(fh.read())
     assert payload["format"] == "udbridge-pipeline"
     assert payload["version"] == 1
     assert payload["metadata"]["train_sentences"] == 120

@@ -42,6 +42,7 @@ def server(model_path):
     thread.start()
     yield srv
     srv.shutdown()
+    srv.server_close()
     thread.join(timeout=5)
 
 
@@ -328,6 +329,23 @@ def test_stats_counts_must_be_integers(server, extra):
     status, _, body = request(server, "POST", "/stats", {"text": "De man rint.", **extra})
     assert status == 400
     assert "must be a positive integer" in json.loads(body)["error"]
+
+
+def test_stats_checks_parameters_before_annotating(server, monkeypatch):
+    calls = []
+    monkeypatch.setattr(service, "annotate", lambda *args: calls.append(args))
+    for extra, message in [
+        ({"report": "top", "top_n": 0}, "top_n must be a positive integer"),
+        ({"report": "cooc"}, "report 'cooc' needs upos_filter"),
+        (
+            {"report": "cooc", "upos_filter": "NOUN", "min_weight": 0},
+            "min_weight must be a positive integer",
+        ),
+    ]:
+        status, _, body = request(server, "POST", "/stats", {"text": "De man rint.", **extra})
+        assert status == 400
+        assert json.loads(body) == {"error": message}
+    assert calls == []
 
 
 def test_config_rejects_a_port_out_of_range(model_path):

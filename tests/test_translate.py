@@ -1,7 +1,9 @@
 """Pivot translation: backends, quoting convention, cache, fallback."""
 
 import json
+import logging
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -22,7 +24,7 @@ from udbridge.translate import (
 class EchoStub:
     """Local HTTP endpoint that records request bodies and echoes the text."""
 
-    def __init__(self, fail_times: int = 0):
+    def __init__(self, fail_times: int = 0, null_reply: bool = False):
         self.bodies: list[str] = []
         remaining = {"fail": fail_times}
         stub = self
@@ -35,7 +37,7 @@ class EchoStub:
                     remaining["fail"] -= 1
                     self.send_error(500)
                     return
-                text = json.loads(raw)["text"]
+                text = None if null_reply else json.loads(raw)["text"]
                 reply = json.dumps({"translation": text}).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(reply)))
@@ -103,6 +105,27 @@ def test_fallback_after_exhausted_retries():
         stub.close()
 
 
+def test_remote_null_translation_falls_back():
+    stub = EchoStub(null_reply=True)
+    try:
+        client = TranslatorClient(RemoteServiceBackend(stub.endpoint))
+        assert client.translate_word("wurd") == "wurd"
+        assert client.fallback_count == 1
+        assert client.remote_calls == 1
+    finally:
+        stub.close()
+
+
+def test_an_error_reply_is_closed():
+    stub = EchoStub(fail_times=1)
+    try:
+        with pytest.raises(urllib.error.HTTPError) as info:
+            RemoteServiceBackend(stub.endpoint).translate("wurd")
+    finally:
+        stub.close()
+    assert info.value.fp.closed
+
+
 def test_identity_backend_and_sentence_fallback_flags():
     client = TranslatorClient(IdentityBackend())
     sent = client.translate_sentence(["De", "man", "rint", "."])
@@ -116,6 +139,15 @@ def test_static_lexicon_backend_misses_fall_back():
     assert sent.pivot_tokens == ["man_nl", "gjalp"]
     assert sent.fallbacks == [False, True]
     assert client.fallback_count == 1
+
+
+def test_a_lexicon_miss_costs_one_call_and_logs_nothing(caplog):
+    client = TranslatorClient(StaticLexiconBackend({"man": "man_nl"}))
+    with caplog.at_level(logging.DEBUG):
+        assert client.translate_word("gjalp") == "gjalp"
+    assert client.remote_calls == 1
+    assert client.fallback_count == 1
+    assert caplog.records == []
 
 
 def test_multiword_answer_collapses_to_first():
@@ -133,6 +165,16 @@ def test_empty_answer_falls_back():
             return "  "
 
     client = TranslatorClient(Silent())
+    assert client.translate_word("x") == "x"
+    assert client.fallback_count == 1
+
+
+def test_a_quoted_blank_answer_falls_back():
+    class QuotedBlank:
+        def translate(self, word):
+            return "'  '"
+
+    client = TranslatorClient(QuotedBlank(), quoting=Quoting.SINGLE)
     assert client.translate_word("x") == "x"
     assert client.fallback_count == 1
 
