@@ -295,12 +295,7 @@ def cmd_serve(args, stdin, stdout, stderr) -> int:
     server = service.make_server(cfg)
     host, port = server.server_address[:2]
     stderr.write(f"serving on http://{host}:{port}/ (model {cfg.model_path})\n")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
+    service.serve(server)
     return 0
 
 

@@ -41,7 +41,7 @@ def map_jobs(fn, items) -> list:
     global _running
     items = list(items)
     n = min(len(items), os.cpu_count() or 1)
-    if n < 2 or _running or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2 or not can_fork():
         n = 1
     outer, _running = _running, True
     pids, pipes = [], []
@@ -85,6 +85,13 @@ def map_jobs(fn, items) -> list:
             raise value
         results.append(value)
     return results
+
+
+def can_fork() -> bool:
+    """Whether this process may fork: `os.fork` exists, no other thread is
+    alive (a forked copy of a threaded process can deadlock on a lock that
+    another thread held) and no `map_jobs` call is running."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and not _running
 
 
 def _run(fn, items) -> list:

@@ -9,17 +9,29 @@ never mutated, so worker threads share it freely.
 Connections are kept alive between requests. Each response leaves in one
 write on a socket with TCP_NODELAY: sent as two segments, the body would
 wait for the client's delayed ACK of the headers, about 40 ms a request.
+
+`serve` runs the server on one process per CPU. The process that bound the
+socket forks the others after loading the model, so they share its pages
+copy-on-write, and it alone accepts connections: it deals them round-robin
+to itself and to the workers, passing each one over a Unix socket pair, and
+a connection stays in the process it was dealt to. Dealing, rather than
+letting every process accept, spreads even two connections evenly, and
+a worker notices its parent's death as the end of its channel.
 """
 
 import io
 import json
 import os
+import signal
+import socket
 import threading
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .conllu import Document, parse_conllu, serialize_conllu, serialize_tsv
 from .errors import DataError, UdbridgeError
+from .parallel import can_fork
 from .pipeline import EvalSetting, PipelineModel, annotate, read_model_file
 from .stats import cooccurrence, top_tokens_per_upos, upos_frequencies
 from .util import read_text, short_hash
@@ -173,6 +185,10 @@ class _ResponseWriter(io.BytesIO):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    # seconds a socket read or write may wait: a client that stalls
+    # mid-body gets a 408, and an idle keep-alive connection is closed, so
+    # neither holds its thread and socket forever
+    timeout = 30
 
     def setup(self):
         super().setup()
@@ -221,7 +237,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(400, "bad Content-Length")
         if length > self.server.config.max_request_bytes:
             raise _HttpError(413, "request body too large")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _HttpError(408, "timed out reading the request body") from None
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -321,9 +340,118 @@ class AnnotationServer(ThreadingHTTPServer):
         # taken only around annotation, after the request body has been
         # read and checked: a client that stalls mid-request holds none
         self.worker_slots = threading.BoundedSemaphore(config.workers)
+        # this process's ends of the channels to forked workers (see serve)
+        self.channels: list[socket.socket] = []
+        self._turn = 0
         super().__init__((config.host, config.port), _Handler)
+
+    def process_request(self, request, client_address):
+        """Serve the connection here or hand it to the next worker in turn."""
+        turn = self._turn
+        self._turn = (turn + 1) % (len(self.channels) + 1)
+        if turn:
+            try:
+                socket.send_fds(self.channels[turn - 1], [b"c"], [request.fileno()])
+            except OSError:
+                # the worker is gone: this process takes its turns
+                self.channels.pop(turn - 1).close()
+                self._turn = 0
+            else:
+                # close only this process's descriptor; shutting the socket
+                # down would end the connection for the worker too
+                self.close_request(request)
+                return
+        super().process_request(request, client_address)
 
 
 def make_server(config: ServiceConfig) -> AnnotationServer:
     """Load the model and bind the listening socket. Port 0 picks a free port."""
     return AnnotationServer(config)
+
+
+def serve(server: AnnotationServer) -> None:
+    """Run `server` on `os.cpu_count()` processes until SIGINT or SIGTERM.
+
+    The calling process forks one worker per CPU but its own, then accepts
+    every connection and deals them round-robin (see the module docstring);
+    `workers` caps concurrent annotations in each process. It serves alone
+    on one CPU, without `os.fork` or `socket.send_fds`, or while another
+    thread is alive. SIGINT or SIGTERM ends the call: the workers are
+    killed and reaped, and the server is closed. Call it from the main
+    thread, which receives the signals.
+    """
+    pids = []
+    previous = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        if hasattr(socket, "send_fds") and can_fork():
+            for _ in range((os.cpu_count() or 1) - 1):
+                pids.append(_fork_worker(server))
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for channel in server.channels:
+            channel.close()
+        server.server_close()
+
+
+def _interrupt(signum, frame):
+    # SIGTERM stops the server the way SIGINT does
+    raise KeyboardInterrupt
+
+
+def _fork_worker(server: AnnotationServer) -> int:
+    """Fork a worker fed through a new channel in `server.channels`; return
+    its pid."""
+    ours, theirs = socket.socketpair()
+    try:
+        pid = os.fork()
+    except BaseException:
+        ours.close()
+        theirs.close()
+        raise
+    if pid == 0:
+        # The worker leaves only through os._exit: it never returns into the
+        # caller's stack, flushes the caller's stdio buffers or runs atexit.
+        code = 1
+        try:
+            ours.close()
+            _work(server, theirs)
+            code = 0
+        except Exception:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    theirs.close()
+    server.channels.append(ours)
+    return pid
+
+
+def _work(server: AnnotationServer, channel: socket.socket) -> None:
+    """A worker's loop: serve each connection that arrives on `channel` in
+    a thread of this process, until the channel ends."""
+    # Ctrl-C reaches the whole process group; the parent stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    server.socket.close()
+    # the parent's ends of earlier workers' channels: held open here, they
+    # would keep those workers from seeing the end of theirs
+    for other in server.channels:
+        other.close()
+    server.channels = []
+    while True:
+        _, fds, _, _ = socket.recv_fds(channel, 1, 1)
+        if not fds:
+            return  # the parent closed the channel or died
+        request = socket.socket(fileno=fds[0])
+        try:
+            address = request.getpeername()
+        except OSError:  # the client is gone already
+            request.close()
+            continue
+        server.process_request(request, address)

@@ -11,7 +11,10 @@ A backend answers None for a word it cannot translate, and only backend
 errors are retried. Nothing raises: a miss, a blank answer or an error past
 the retries makes the word fall back to itself, and the fallback is counted.
 Successful translations go through a persistent TSV cache keyed
-case-sensitively by the source word.
+case-sensitively by the source word. A client also remembers, for its own
+lifetime, the words its backend answered with no translation, and does not
+ask for them again; the cache file never holds them, and a word whose
+attempts all failed is asked for again next time.
 """
 
 import json
@@ -169,6 +172,7 @@ class TranslatorClient:
         self.max_retries = max_retries
         self.fallback_count = 0
         self.remote_calls = 0
+        self._untranslatable: set[str] = set()
 
     def _strip_quotes(self, text: str) -> str:
         q = self.quoting.char
@@ -191,22 +195,23 @@ class TranslatorClient:
             cached = self.cache.lookup(word)
             if cached is not None:
                 return cached
-        request = self.quoting.char + word + self.quoting.char
-        answer: str | None = None
-        for _ in range(self.max_retries + 1):
-            self.remote_calls += 1
-            try:
-                answer = self.backend.translate(request)
+        if word not in self._untranslatable:
+            request = self.quoting.char + word + self.quoting.char
+            for _ in range(self.max_retries + 1):
+                self.remote_calls += 1
+                try:
+                    answer = self.backend.translate(request)
+                except Exception:  # noqa: BLE001 - degrade, never crash
+                    continue
+                words = [] if answer is None else self._strip_quotes(answer.strip()).split()
+                if words:
+                    if self.cache is not None:
+                        self.cache.store(word, words[0])
+                    return words[0]
+                self._untranslatable.add(word)
                 break
-            except Exception:  # noqa: BLE001 - degrade, never crash
-                continue
-        words = [] if answer is None else self._strip_quotes(answer.strip()).split()
-        if not words:
-            self.fallback_count += 1
-            return word
-        if self.cache is not None:
-            self.cache.store(word, words[0])
-        return words[0]
+        self.fallback_count += 1
+        return word
 
     def translate_sentence(self, tokens: list[str]) -> PivotSentence:
         pivots = []

@@ -546,6 +546,53 @@ def test_stalled_bodies_hold_no_worker_slot(model_path):
     assert not thread.is_alive()
 
 
+def test_handler_sockets_time_out():
+    # the tests below shorten it; unset, a stalled client holds its thread
+    assert 0 < service._Handler.timeout <= 60
+
+
+@pytest.fixture
+def quick_timeout_server(model_path, monkeypatch):
+    """A server whose sockets time out after a fifth of a second."""
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    srv = make_server(ServiceConfig(bind="127.0.0.1:0", model_path=model_path))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def read_until_closed(sock) -> bytes:
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+def test_a_stalled_body_gets_408_and_a_closed_connection(quick_timeout_server):
+    with socket.create_connection(quick_timeout_server.server_address[:2], timeout=5) as sock:
+        sock.sendall(b"POST /annotate HTTP/1.1\r\nHost: udbridge\r\n"
+                     b"Content-Length: 100\r\n\r\n{\"text\": ")
+        reply = read_until_closed(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 ")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(body) == {"error": "timed out reading the request body"}
+
+
+def test_an_idle_keep_alive_connection_is_closed(quick_timeout_server):
+    with socket.create_connection(quick_timeout_server.server_address[:2], timeout=5) as sock:
+        sock.sendall(b"GET /health HTTP/1.1\r\nHost: udbridge\r\n\r\n")
+        started = time.monotonic()
+        reply = read_until_closed(sock)
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert b"Connection: close" not in reply
+    assert time.monotonic() - started < 4
+
+
 # ------------------------------------------------------------ model file
 
 

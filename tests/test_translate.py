@@ -150,6 +150,50 @@ def test_a_lexicon_miss_costs_one_call_and_logs_nothing(caplog):
     assert caplog.records == []
 
 
+class CountingBackend:
+    """A lexicon backend that records every word it is asked for and
+    raises for each word listed in `errors` as often as listed there."""
+
+    def __init__(self, lexicon: dict, errors: dict | None = None):
+        self.lexicon = lexicon
+        self.errors = dict(errors or {})
+        self.calls: list[str] = []
+
+    def translate(self, word):
+        self.calls.append(word)
+        if self.errors.get(word):
+            self.errors[word] -= 1
+            raise OSError("backend down")
+        return self.lexicon.get(word)
+
+
+def test_a_word_without_translation_is_asked_for_once(tmp_path):
+    cache_path = str(tmp_path / "cache.tsv")
+    backend = CountingBackend({"ien": "een", "leech": "  "})
+    client = TranslatorClient(backend, cache=LexiconCache(cache_path))
+    sent = client.translate_sentence(["mis", "ien", "mis", "leech", "leech", "mis", "ien"])
+    assert sent.pivot_tokens == ["mis", "een", "mis", "leech", "leech", "mis", "een"]
+    assert sent.fallbacks == [True, False, True, True, True, True, False]
+    assert backend.calls == ["mis", "ien", "leech"]
+    assert client.remote_calls == 3
+    assert client.fallback_count == 5
+    # misses live only as long as the client: the cache file holds none
+    client.cache.save()
+    assert load_lexicon(cache_path) == {"ien": "een"}
+    assert TranslatorClient(backend).translate_word("mis") == "mis"
+    assert backend.calls[-1] == "mis"
+
+
+def test_a_word_whose_attempts_failed_is_asked_for_again():
+    backend = CountingBackend({"wurd": "woord"}, errors={"wurd": 2})
+    client = TranslatorClient(backend, max_retries=1)
+    assert client.translate_word("wurd") == "wurd"
+    assert client.fallback_count == 1
+    assert client.translate_word("wurd") == "woord"
+    assert backend.calls == ["wurd"] * 3
+    assert client.fallback_count == 1
+
+
 def test_multiword_answer_collapses_to_first():
     class Wordy:
         def translate(self, word):
