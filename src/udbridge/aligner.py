@@ -12,7 +12,9 @@ probability and therefore to null when null_prob is large). Ties between
 real positions go to the smaller source index.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -43,8 +45,8 @@ class AlignerConfig:
             raise DataError("iterations must be >= 1")
         if not 0.0 <= self.null_prob < 1.0:
             raise DataError("null_prob must be in [0, 1)")
-        if self.lambda_ < 0:
-            raise DataError("lambda_ must be >= 0")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise DataError(f"lambda must be a finite number >= 0, got {self.lambda_!r}")
 
 
 @dataclass
@@ -73,9 +75,11 @@ class TranslationTable:
             f"# iterations={self.config.iterations} lambda={self.config.lambda_!r}"
             f" null_prob={self.config.null_prob!r} seed={self.config.seed}"
         ]
-        for src in sorted(self.t):
-            for tgt in sorted(self.t[src]):
-                lines.append(f"{src}\t{tgt}\t{self.t[src][tgt]!r}")
+        lines.extend(
+            f"{src}\t{tgt}\t{prob!r}"
+            for src, row in sorted(self.t.items())
+            for tgt, prob in sorted(row.items())
+        )
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -92,6 +96,11 @@ class TranslationTable:
                     f"translation table line {line_no}: expected"
                     f" source<TAB>target<TAB>probability, got {line!r}"
                 ) from None
+            if not 0.0 <= value <= 1.0:
+                raise DataError(
+                    f"translation table line {line_no}: probability {prob!r}"
+                    f" is not a number in [0, 1]"
+                )
             table.t.setdefault(src, {})[tgt] = value
         return table
 
@@ -115,7 +124,14 @@ def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list
             math.exp(-cfg.lambda_ * abs(i / n_src - j / n_tgt)) for i in range(n_src)
         ]
     z = _total(weights)
-    scale = (1.0 - cfg.null_prob) / z
+    # a weight sum that underflowed to 0, or so near 0 that the scale
+    # overflows, would make every prior 0, inf or nan
+    scale = (1.0 - cfg.null_prob) / z if z > 0.0 else math.inf
+    if math.isinf(scale):
+        raise DataError(
+            f"lambda={cfg.lambda_!r} leaves target position {j + 1} of a"
+            f" {n_src} x {n_tgt} sentence pair no prior mass; use a smaller lambda"
+        )
     return [w * scale for w in weights]
 
 
@@ -133,54 +149,106 @@ def _priors_by_position(cache: dict, n_src: int, n_tgt: int, cfg: AlignerConfig)
 
 
 def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) -> TranslationTable:
-    """EM-train a translation table on tokenized sentence pairs."""
+    """EM-train a translation table on tokenized sentence pairs.
+
+    The (source, target) cells are fixed by the co-occurrence pass, so they
+    are numbered once, each target position is planned once as a list of
+    cell ids, and every iteration runs on flat float lists. Each cell gets
+    its float additions in visiting order (pair, target position, null,
+    then source position), so the table bytes do not depend on this
+    layout."""
     if cfg is None:
         cfg = AlignerConfig()
     if not bitext:
         raise DataError("empty bitext")
 
     use_null = cfg.null_prob > 0.0
-    # Uniform init over each source word's co-occurring target words.
-    cooc: dict[str, dict[str, float]] = {}
+    # cells[src][tgt] is the id of a co-occurring cell, source_ids[src] the
+    # id of a source word and cell_source[cell] that of the cell's source
+    cells: dict[str, dict[str, int]] = {}
+    source_ids: dict[str, int] = {}
+    cell_source: list[int] = []
     for pair in bitext:
         sources = list(pair.source) + ([NULL_TOKEN] if use_null else [])
         for src in sources:
-            row = cooc.setdefault(src, {})
+            row = cells.get(src)
+            if row is None:
+                row = cells[src] = {}
+                source_ids[src] = len(source_ids)
+            source_id = source_ids[src]
             for tgt in pair.target:
-                row[tgt] = 1.0
-    t = {src: {tgt: 1.0 / len(row) for tgt in row} for src, row in cooc.items()}
+                if tgt not in row:
+                    row[tgt] = len(cell_source)
+                    cell_source.append(source_id)
+    # Uniform init over each source word's co-occurring target words.
+    row_sizes = [len(row) for row in cells.values()]
+    p = [1.0 / row_sizes[source_id] for source_id in cell_source]
 
+    # Per pair: the pair (for errors), its source ids and, per target
+    # position, the null cell, the priors (the lists _priors_by_position
+    # caches) and the source cells.
     pair_priors: dict = {}
+    null_row = cells.get(NULL_TOKEN, {})
+    null_source = source_ids.get(NULL_TOKEN)
+    plan = []
+    for pair in bitext:
+        by_position = _priors_by_position(
+            pair_priors, len(pair.source), len(pair.target), cfg
+        )
+        rows = [cells[src] for src in pair.source]
+        positions = [
+            (null_row.get(tgt), priors, [row[tgt] for row in rows])
+            for tgt, priors in zip(pair.target, by_position)
+        ]
+        plan.append((pair, [source_ids[src] for src in pair.source], positions))
+
+    null_prob = cfg.null_prob
     ll_history: list[float] = []
     for _ in range(cfg.iterations):
-        counts: dict[str, dict[str, float]] = {src: {} for src in t}
-        totals: dict[str, float] = {src: 0.0 for src in t}
+        counts = [0.0] * len(cell_source)
+        totals = [0.0] * len(source_ids)
+        p_of = p.__getitem__
         ll = 0.0
-        for pair in bitext:
-            by_position = _priors_by_position(
-                pair_priors, len(pair.source), len(pair.target), cfg
-            )
-            for j, tgt_word in enumerate(pair.target):
-                priors = by_position[j]
-                terms: list[tuple[str, float]] = []
+        for pair, srcs, positions in plan:
+            for null_cell, priors, cell_ids in positions:
+                terms = list(map(operator.mul, priors, map(p_of, cell_ids)))
+                # the same left-to-right additions as _total, null first
                 if use_null:
-                    terms.append((NULL_TOKEN, cfg.null_prob * t[NULL_TOKEN][tgt_word]))
-                for i, src_word in enumerate(pair.source):
-                    terms.append((src_word, priors[i] * t[src_word][tgt_word]))
-                z = _total(w for _, w in terms)
+                    null_w = null_prob * p[null_cell]
+                    z = functools.reduce(operator.add, terms, null_w)
+                else:
+                    z = functools.reduce(operator.add, terms)
+                if z == 0.0:
+                    raise DataError(
+                        f"a {len(pair.source)} x {len(pair.target)} sentence pair"
+                        f" has a target word with probability 0 under every"
+                        f" source word (lambda={cfg.lambda_!r}); use a smaller lambda"
+                    )
                 ll += math.log(z)
-                for src_word, w in terms:
+                if use_null:
+                    gamma = null_w / z
+                    counts[null_cell] += gamma
+                    totals[null_source] += gamma
+                for cell, src, w in zip(cell_ids, srcs, terms):
                     gamma = w / z
-                    row = counts[src_word]
-                    row[tgt_word] = row.get(tgt_word, 0.0) + gamma
-                    totals[src_word] += gamma
-        t = {
-            src: {tgt: c / totals[src] for tgt, c in row.items()}
-            for src, row in counts.items()
-            if totals[src] > 0.0
-        }
+                    counts[cell] += gamma
+                    totals[src] += gamma
         ll_history.append(ll)
+        # Free the old p before building the new one, and the plan and the
+        # counts before building the table: either pair held at once would
+        # set the peak memory. A source whose total is 0 has only zero
+        # counts, so its cells stay 0.
+        del p, p_of
+        divisors = [total or 1.0 for total in totals]
+        p = [c / divisors[s] for c, s in zip(counts, cell_source)]
+    del plan, counts
 
+    # Drop a source whose total is 0, as its row would not sum to 1.
+    t = {
+        src: {tgt: p[cell] for tgt, cell in row.items()}
+        for (src, row), total in zip(cells.items(), totals)
+        if total > 0.0
+    }
     table = TranslationTable(t=t, config=cfg, log_likelihood=ll_history)
     table._priors = pair_priors
     return table

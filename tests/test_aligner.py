@@ -1,12 +1,14 @@
 """Word-aligner tests: EM against an independent dense implementation,
 frozen toy-case behavior, Viterbi tie rules, and serialization."""
 
+import hashlib
 import random
 
 import pytest
 from oracles import em_reference
 from synth import make_bitext, make_corpus
 
+from udbridge import aligner
 from udbridge.aligner import (
     NULL_TOKEN,
     AlignerConfig,
@@ -173,3 +175,69 @@ def test_bitext_and_link_formats():
     assert format_links(links) == "0-0 2-1"
     with pytest.raises(DataError):
         parse_links("0:0")
+
+
+def golden_bitext():
+    pairs = [SentencePair(list(s), list(t)) for s, t in make_bitext(make_corpus(60, seed=7))]
+    # one source word twice in a pair: its cells get two additions per position
+    s, t = pairs[0].source, pairs[0].target
+    pairs.append(SentencePair([s[0], s[1], s[0]], [t[0], t[1], t[0]]))
+    return pairs
+
+
+# sha256 of dumps() and the log-likelihoods: any change to EM's float
+# additions or their order moves them, on every Python version CI runs
+@pytest.mark.parametrize(
+    "settings,digest,lls",
+    [
+        (
+            {},
+            "7a062d29a956bc8a4a934e4a741fa64f7ffb5791d04de3bda47f6ecb3ee7306f",
+            [-984.230418407277, -513.1494237820314, -334.82351307517683,
+             -300.6637356587177, -293.940552177487],
+        ),
+        (
+            {"null_prob": 0.0},
+            "fc52c56452994bd966a7e9fb805504eb1bb7a0a4b2e338c44146520138e969bb",
+            [-968.4184949275026, -491.8913977783587, -313.4912810096772,
+             -280.7741673939855, -274.8600184121047],
+        ),
+        (
+            {"lambda_": 0.0},
+            "3d46718cdede0fba49d4889694b3e8cf5a9fe0988061b2730272cd08e4a3d4d6",
+            [-978.0999316599348, -819.148287059805, -702.9746557584727,
+             -628.5879401955698, -593.7481893684627],
+        ),
+        (
+            {"iterations": 1},
+            "a5829eb10142cd5067b13a3a1db16187abca3452f90d342974645d2c3f4b9e38",
+            [-984.230418407277],
+        ),
+    ],
+)
+def test_table_bytes_are_golden(settings, digest, lls):
+    table = train_aligner(golden_bitext(), AlignerConfig(**settings))
+    assert hashlib.sha256(table.dumps().encode()).hexdigest() == digest
+    assert repr(table.log_likelihood) == repr(lls)
+
+
+@pytest.mark.parametrize("line", ["a\tx\tnan", "a\ty\t-3", "b\tx\t1e999", "b\tx\t1.5"])
+def test_loads_rejects_a_probability_outside_0_1(line):
+    with pytest.raises(DataError, match=r"^translation table line 3: probability"):
+        TranslationTable.loads(f"# iterations=1\nb\ty\t1.0\n{line}\n")
+
+
+def test_loads_accepts_the_bounds():
+    table = TranslationTable.loads("a\tx\t0.0\na\ty\t1.0\n")
+    assert table.t == {"a": {"x": 0.0, "y": 1.0}}
+
+
+def test_em_rejects_a_target_word_no_source_can_generate(monkeypatch):
+    # valid priors always leave some mass; zero priors stand in for the
+    # underflow that would otherwise reach math.log(0)
+    def zero_priors(cache, n_src, n_tgt, cfg):
+        return [[0.0] * n_src for _ in range(n_tgt)]
+
+    monkeypatch.setattr(aligner, "_priors_by_position", zero_priors)
+    with pytest.raises(DataError, match="a 2 x 1 sentence pair has a target word"):
+        train_aligner([SentencePair(["a", "b"], ["x"])], AlignerConfig(null_prob=0.0))

@@ -269,6 +269,32 @@ def test_align_rejects_bad_bitext():
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_align_rejects_a_lambda_that_is_not_finite(value):
+    code, out, err = run(["align", "--lambda", value], "a b c ||| x y\n")
+    assert code == 2 and out == ""
+    assert err == f"error: lambda must be a finite number >= 0, got {value}\n", err
+
+
+def test_align_rejects_a_lambda_that_leaves_a_position_no_prior():
+    # exp(-1e6 * d) underflows to 0 for every source of target position 2
+    code, out, err = run(["align", "--lambda", "1e6"], "a b c ||| x y\n")
+    assert code == 2 and out == ""
+    assert err.startswith("error: lambda=1000000.0 leaves target position 2 of a 3 x 2"), err
+
+
+def test_align_drops_a_source_word_that_gets_no_counts(tmp_path):
+    # c, d and e get prior 0 for the only target word, so their counts stay
+    # 0 in every iteration and their rows are dropped, not divided by 0
+    table_file = tmp_path / "table.tsv"
+    code, out, err = run(
+        ["align", "--lambda", "3000", "--save-table", str(table_file)], "a b c d e ||| x\n"
+    )
+    assert (code, out, err) == (0, "0-0\n", "")
+    rows = {line.split("\t")[0] for line in table_file.read_text().splitlines()[1:]}
+    assert rows == {"<null>", "a", "b"}
+
+
 # ----------------------------------------------------- train and annotate
 
 
