@@ -84,8 +84,14 @@ class TranslationTable:
 
     @classmethod
     def loads(cls, text: str) -> "TranslationTable":
+        """Read dumps() output. The settings come from the first-line
+        header; a setting it leaves out, or a missing header, gets its
+        default."""
         table = cls()
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        lines = text.splitlines()
+        if lines and lines[0].startswith("#"):
+            table.config = _read_header(lines[0])
+        for line_no, line in enumerate(lines, start=1):
             if not line or line.startswith("#"):
                 continue
             try:
@@ -103,6 +109,37 @@ class TranslationTable:
                 )
             table.t.setdefault(src, {})[tgt] = value
         return table
+
+
+# header key -> (AlignerConfig field, type)
+_HEADER_KEYS = {
+    "iterations": ("iterations", int),
+    "lambda": ("lambda_", float),
+    "null_prob": ("null_prob", float),
+    "seed": ("seed", int),
+}
+
+
+def _read_header(line: str) -> AlignerConfig:
+    """The settings in a `# iterations=N lambda=X null_prob=P seed=S` line."""
+    bad = DataError(
+        "translation table line 1: expected '# iterations=N lambda=X null_prob=P"
+        f" seed=S', got {line!r}"
+    )
+    settings = {}
+    for item in line[1:].split():
+        key, sep, value = item.partition("=")
+        if not sep or key not in _HEADER_KEYS or _HEADER_KEYS[key][0] in settings:
+            raise bad
+        name, kind = _HEADER_KEYS[key]
+        try:
+            settings[name] = kind(value)
+        except ValueError:
+            raise bad from None
+    try:
+        return AlignerConfig(**settings)
+    except DataError as err:
+        raise DataError(f"translation table line 1: {err}") from None
 
 
 def _total(values) -> float:

@@ -129,16 +129,16 @@ def cmd_translate(args, stdin, stdout, stderr) -> int:
 
 def cmd_align(args, stdin, stdout, stderr) -> int:
     pairs = read_bitext(_read_input(args, stdin))
-    cfg = AlignerConfig(
-        iterations=args.iterations,
-        lambda_=args.lambda_,
-        null_prob=args.null_prob,
-        seed=args.seed,
-    )
     if args.load_table:
+        # the loaded table decodes under the settings it was trained with
         table = TranslationTable.loads(read_text(args.load_table))
-        table.config = cfg
     else:
+        cfg = AlignerConfig(
+            iterations=args.iterations,
+            lambda_=args.lambda_,
+            null_prob=args.null_prob,
+            seed=args.seed,
+        )
         table = train_aligner(pairs, cfg)
     if args.save_table:
         with open(args.save_table, "w", encoding="utf-8") as fh:

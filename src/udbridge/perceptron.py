@@ -11,11 +11,12 @@ the mean of the post-update weight snapshots over all ticks so far; the
 lazy total/timestamp bookkeeping avoids touching untouched weights.
 
 Trained models score through frozen tables: compile_rows() turns a
-feature -> {class: weight} table into class-indexed rows once, and
-best_index() is the one kernel every inference call goes through.
-predict_with() is the reference for both predict() and best_index() on
-the dict form: all three sum each class's score from 0.0 in feature order
-and give ties to the earliest class.
+feature -> {class: weight} table into class-indexed rows once. The parser
+scores each decision with best_index(); the tagger sums the same rows in
+its own decoder, which starts from remembered per-form scores.
+predict_with() is the reference for predict(), best_index() and the
+tagger on the dict form: all of them sum each class's score from 0.0 in
+feature order and give ties to the earliest class.
 """
 
 from itertools import chain

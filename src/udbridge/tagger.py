@@ -5,6 +5,14 @@ the FEATS bundle (the canonical sorted "k=v|k=v" string as an atomic
 label). Features per token: the word form, its lowercase, prefixes and
 suffixes of 1..4 characters, the neighbouring word forms, the previous two
 predicted labels, and digit/capitalization flags.
+
+The first 11 features of a token (bias, w=, lw=, pre1..4 and suf1..4)
+depend on its form alone, and scores are summed in feature order. So a
+TaggerModel remembers, per known form, each class's score after those 11
+features, and a decision only adds the rest to a copy. The sums are the
+same float additions in the same order as summing every feature from 0.0,
+so the tags are the same. Those 11 features must stay first, or the memo
+gives different tags. The memo is filled as forms come and never saved.
 """
 
 import random
@@ -12,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .conllu import Document
 from .errors import DataError
-from .perceptron import AveragedPerceptron, Rows, best_index, compile_rows
+from .perceptron import AveragedPerceptron, Rows, compile_rows
 
 ATTRIBUTES = ("upos", "xpos", "feats")
 
@@ -24,21 +32,29 @@ _UNSET = "_"
 Context = tuple[list[str], list[str]]
 
 
-def _context_features(forms: list[str], i: int) -> Context:
-    w = forms[i]
+def _form_features(w: str) -> list[str]:
     lw = w.lower()
-    head = ["bias", "w=" + w, "lw=" + lw]
+    feats = ["bias", "w=" + w, "lw=" + lw]
     for k in (1, 2, 3, 4):
-        head.append(f"pre{k}={lw[:k]}")
-        head.append(f"suf{k}={lw[-k:]}")
-    head.append("pw=" + (forms[i - 1].lower() if i > 0 else _PAD))
-    head.append("nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD))
+        feats.append(f"pre{k}={lw[:k]}")
+        feats.append(f"suf{k}={lw[-k:]}")
+    return feats
+
+
+def _tail(w: str) -> list[str]:
     tail = []
-    if any(ch.isdigit() for ch in w):
+    if any(map(str.isdigit, w)):
         tail.append("hasdigit")
     if w[:1].isupper():
         tail.append("cap")
-    return head, tail
+    return tail
+
+
+def _context_features(forms: list[str], i: int) -> Context:
+    head = _form_features(forms[i])
+    head.append("pw=" + (forms[i - 1].lower() if i > 0 else _PAD))
+    head.append("nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD))
+    return head, _tail(forms[i])
 
 
 def _contexts(forms: list[str]) -> list[Context]:
@@ -54,14 +70,62 @@ def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]
     return _with_history(_context_features(forms, i), prev, prev2)
 
 
-def _greedy(contexts: list[Context], rows: Rows, classes: list[str]) -> list[str]:
-    n_classes = len(classes)
-    prev, prev2 = _PAD, _PAD
+def _add_scores(rows: Rows, features, scores: list[float]) -> list[float]:
+    """Add each feature's row into `scores` with +=, in feature order, like
+    best_index. Not sum(): from Python 3.12 it rounds float totals
+    differently."""
+    get = rows.get
+    for feat in features:
+        row = get(feat)
+        if row is not None:
+            for i, w in row:
+                scores[i] += w
+    return scores
+
+
+# (frozen weights, class names) of one attribute
+Table = tuple[Rows, list[str]]
+
+
+def _decode(forms: list[str], tables: list[Table], memo: dict) -> list[list[str]]:
+    """Greedy left-to-right tags of `forms`, one list per table.
+
+    `memo` maps a form to what depends on the form alone: per table, the
+    class scores after its form features, then its tail features. A form
+    is looked up there first and added only when some table has a w= row
+    for it, so the memo never outgrows the tables.
+    """
+    known = []
+    for w in forms:
+        entry = memo.get(w)
+        if entry is None:
+            feats = _form_features(w)
+            entry = tuple(
+                tuple(_add_scores(rows, feats, [0.0] * len(classes))) for rows, classes in tables
+            ) + (tuple(_tail(w)),)
+            key = "w=" + w
+            if any(key in rows for rows, _ in tables):
+                memo[w] = entry
+        known.append(entry)
+    lowered = [w.lower() for w in forms]
+    pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
+    nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
     out = []
-    for context in contexts:
-        guess = classes[best_index(rows, _with_history(context, prev, prev2), n_classes)]
-        out.append(guess)
-        prev2, prev = prev, guess
+    for k, (rows, classes) in enumerate(tables):
+        get = rows.get
+        prev, prev2 = _PAD, _PAD
+        tags = []
+        for entry, pw, nw in zip(known, pws, nws):
+            # the loop of _add_scores, inlined: this is the hot path
+            scores = list(entry[k])
+            for feat in (pw, nw, "pt=" + prev, "ppt=" + prev2 + "+" + prev, *entry[-1]):
+                row = get(feat)
+                if row is not None:
+                    for i, w in row:
+                        scores[i] += w
+            prev2, prev = prev, classes[scores.index(max(scores))]
+            tags.append(prev)
+        out.append(tags)
     return out
 
 
@@ -76,16 +140,16 @@ class TaggerModel:
             attr: compile_rows(self.weights.get(attr, {}), classes)
             for attr, classes in self.classes.items()
         }
+        # the _decode memo over ATTRIBUTES; filled as forms come, never
+        # saved. Handler threads share it: a dict get or set is atomic.
+        self._memo: dict[str, tuple] = {}
 
     def predict_attribute(self, forms: list[str], attribute: str) -> list[str]:
-        return _greedy(_contexts(forms), self._rows[attribute], self.classes[attribute])
+        return self.predict(forms)[attribute]
 
     def predict(self, forms: list[str]) -> dict[str, list[str]]:
-        contexts = _contexts(forms)
-        return {
-            attr: _greedy(contexts, self._rows[attr], self.classes[attr])
-            for attr in ATTRIBUTES
-        }
+        tables = [(self._rows[attr], self.classes[attr]) for attr in ATTRIBUTES]
+        return dict(zip(ATTRIBUTES, _decode(forms, tables, self._memo)))
 
 
 def _gold_labels(doc: Document) -> list[tuple[list[str], dict[str, list[str]]]]:
@@ -156,9 +220,10 @@ def train_tagger(
                     prev2, prev = prev, names[guess]
         if dev_data is not None:
             snapshot = compile_rows(models["upos"].averaged(), classes["upos"])
+            memo: dict = {}
             correct = total = 0
             for forms, labels in dev_data:
-                got_tags = _greedy(_contexts(forms), snapshot, classes["upos"])
+                (got_tags,) = _decode(forms, [(snapshot, classes["upos"])], memo)
                 for got, want in zip(got_tags, labels["upos"]):
                     correct += got == want
                     total += 1

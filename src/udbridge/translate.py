@@ -14,7 +14,10 @@ Successful translations go through a persistent TSV cache keyed
 case-sensitively by the source word. A client also remembers, for its own
 lifetime, the words its backend answered with no translation, and does not
 ask for them again; the cache file never holds them, and a word whose
-attempts all failed is asked for again next time.
+attempts all failed is asked for again next time. Once DEAD_AFTER words in
+a row have used up all their attempts on errors, the client takes its
+backend for dead and stops calling it: every later word not in the cache
+falls back at once.
 """
 
 import json
@@ -27,6 +30,11 @@ from enum import Enum
 
 from .errors import DataError
 from .util import read_text
+
+
+# Words in a row whose attempts all failed before a client stops calling
+# its backend. A translation or a miss resets the count.
+DEAD_AFTER = 3
 
 
 class Quoting(Enum):
@@ -173,6 +181,7 @@ class TranslatorClient:
         self.fallback_count = 0
         self.remote_calls = 0
         self._untranslatable: set[str] = set()
+        self._failed_in_a_row = 0
 
     def _strip_quotes(self, text: str) -> str:
         q = self.quoting.char
@@ -186,16 +195,16 @@ class TranslatorClient:
 
     def translate_word(self, word: str) -> str:
         """Translate one word. Never raises on backend trouble: a miss, a
-        blank answer or max_retries+1 failed attempts return the word
-        unchanged and count a fallback. Multi-word answers collapse to their
-        first item."""
+        blank answer, max_retries+1 failed attempts or a dead backend
+        return the word unchanged and count a fallback. Multi-word answers
+        collapse to their first item."""
         if word == "" or any(ch.isspace() for ch in word):
             raise DataError(f"translate_word needs a single non-empty word, got {word!r}")
         if self.cache is not None:
             cached = self.cache.lookup(word)
             if cached is not None:
                 return cached
-        if word not in self._untranslatable:
+        if word not in self._untranslatable and self._failed_in_a_row < DEAD_AFTER:
             request = self.quoting.char + word + self.quoting.char
             for _ in range(self.max_retries + 1):
                 self.remote_calls += 1
@@ -203,6 +212,7 @@ class TranslatorClient:
                     answer = self.backend.translate(request)
                 except Exception:  # noqa: BLE001 - degrade, never crash
                     continue
+                self._failed_in_a_row = 0
                 words = [] if answer is None else self._strip_quotes(answer.strip()).split()
                 if words:
                     if self.cache is not None:
@@ -210,6 +220,8 @@ class TranslatorClient:
                     return words[0]
                 self._untranslatable.add(word)
                 break
+            else:
+                self._failed_in_a_row += 1
         self.fallback_count += 1
         return word
 

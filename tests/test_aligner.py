@@ -227,6 +227,15 @@ def test_loads_rejects_a_probability_outside_0_1(line):
         TranslationTable.loads(f"# iterations=1\nb\ty\t1.0\n{line}\n")
 
 
+def test_loads_reads_the_settings_from_the_header():
+    cfg = AlignerConfig(iterations=3, lambda_=0.0, null_prob=0.5, seed=7)
+    table = train_aligner(toy_bitext(), cfg)
+    assert TranslationTable.loads(table.dumps()).config == cfg
+    # a setting the header leaves out, or a missing header, gets its default
+    assert TranslationTable.loads("# iterations=2\na\tx\t1.0\n").config == AlignerConfig(2)
+    assert TranslationTable.loads("a\tx\t1.0\n").config == AlignerConfig()
+
+
 def test_loads_accepts_the_bounds():
     table = TranslationTable.loads("a\tx\t0.0\na\ty\t1.0\n")
     assert table.t == {"a": {"x": 0.0, "y": 1.0}}

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from synth import GENRES, corpus_text, make_corpus, strip_annotations
+from synth import GENRES, corpus_text, make_bitext, make_corpus, strip_annotations
 from udbridge.cli import main
 from udbridge.conllu import parse_conllu, serialize_conllu
 from udbridge.pipeline import train_pipeline
@@ -262,6 +262,32 @@ def test_align_learns_toy_bitext(tmp_path):
     )
     assert reloaded[0] == 0
     assert reloaded[1] == out
+
+
+def test_a_loaded_table_decodes_under_its_saved_settings(tmp_path):
+    pairs = make_bitext(make_corpus(20, seed=1))
+    bitext = "".join(f"{' '.join(s)} ||| {' '.join(t)}\n" for s, t in pairs)
+    table_file = str(tmp_path / "table.tsv")
+    flags = ["--lambda", "0", "--null-prob", "0.5"]
+    saved = run(["align", *flags, "--save-table", table_file], bitext)
+    assert saved[0] == 0 and len(saved[1].splitlines()) == 20
+    # no flags: the header's lambda=0.0 null_prob=0.5 win over the defaults
+    assert run(["align", "--load-table", table_file], bitext) == saved
+    assert run(["align", "--load-table", table_file, "--lambda", "4"], bitext) == saved
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# iterations=5 lambda=often", "expected '# iterations=N lambda=X"),
+    ("# seed=1 seed=2", "expected '# iterations=N lambda=X"),
+    ("# null_prob=1.0", "null_prob must be in [0, 1)"),
+    ("# lambda=inf", "lambda must be a finite number >= 0, got inf"),
+])
+def test_align_rejects_a_malformed_table_header(tmp_path, header, message):
+    table = tmp_path / "table.tsv"
+    table.write_text(f"{header}\na\tx\t1.0\n", encoding="utf-8")
+    code, out, err = run(["align", "--load-table", str(table)], "a b ||| x y\n")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: translation table line 1: {message}"), err
 
 
 def test_align_rejects_bad_bitext():

@@ -19,7 +19,7 @@ from udbridge.pipeline import (
     train_pipeline,
 )
 from udbridge.tagger import TaggerModel
-from udbridge.tokenizer import TokenizerConfig
+from udbridge.tokenizer import TokenizerConfig, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,28 @@ def test_trained_model_bytes_are_golden(make, n, seed, sha256, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     if make is _crossing_corpus:
         assert any("right:root" in row for row in trained.parser.weights.values())
+
+
+# Held-out text beyond the grammar: unseen forms, digits, capitals and
+# one-letter words.
+_UNSEEN_LINES = (
+    "Jan fynt 12 x-beamen yn Ljouwert.\n"
+    "De kat sliept a b C.\n"
+    "In 3e hûs iepenet Wytske 2024 boeken."
+)
+
+
+# SHA-256 of the annotated CoNLL-U; a faster tagger or parser must not
+# move them.
+@pytest.mark.parametrize("setting, seed, sha256", [
+    (EvalSetting.RAW_TEXT, 21, "44863f5ae3d54c7ec021318873199159af5353d746606b27f02ba6819b15cb6a"),
+    (EvalSetting.GOLD_TOK, 22, "a8ba21c65d9cd252f18e90502a20912e0610a6c881b110ec22b65bff223024c4"),
+])
+def test_annotation_bytes_are_golden(model, setting, seed, sha256):
+    text = corpus_text(make_corpus(20, seed=seed)) + "\n" + _UNSEEN_LINES
+    source = text if setting is EvalSetting.RAW_TEXT else tokenize(text)
+    out = serialize_conllu(annotate(source, model, setting))
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_model_load_rejects_bad_files(tmp_path):

@@ -1,6 +1,8 @@
 """The compiled scoring kernel against its reference, predict_with."""
 
 import random
+import sys
+import threading
 
 import pytest
 from synth import make_corpus
@@ -15,7 +17,7 @@ from udbridge.depparser import (
 )
 from udbridge.errors import DataError
 from udbridge.perceptron import AveragedPerceptron, best_index, compile_rows, predict_with
-from udbridge.tagger import _PAD, token_features, train_tagger
+from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, token_features, train_tagger
 
 # Few distinct values, so that equal scores (ties) are common.
 _VALUES = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
@@ -167,3 +169,116 @@ def test_parser_with_weights_for_moves_outside_its_classes():
         forms = [f"w{i}" for i in range(n)]
         sent_tags = [rng.choice(tags) for _ in range(n)]
         assert model.parse(forms, sent_tags) == reference_parse(model, forms, sent_tags)
+
+
+# ------------------------------------------------------ the tagger's form memo
+
+# Unseen forms, digits, capitals and one-letter words beside the grammar.
+_ODD_SENTENCES = [
+    ["Ljouwert", "fynt", "12e", "x", "."],
+    ["De", "Kat", "a", "C", "2024", "boeken"],
+    ["q"],
+    ["DE", "man", "de", "Man", "3", "."],
+]
+
+
+def _memo_sentences(seed: int) -> list[list[str]]:
+    held = make_corpus(25, seed=seed)
+    return [[t.form for t in sent.tokens] for sent in held.sentences] + _ODD_SENTENCES
+
+
+@pytest.fixture(scope="module")
+def trained_tagger() -> TaggerModel:
+    return train_tagger(make_corpus(60, seed=3), epochs=2)
+
+
+def _fresh(model: TaggerModel) -> TaggerModel:
+    """The same weights with an empty memo."""
+    return TaggerModel(weights=model.weights, classes=model.classes)
+
+
+def _reference(model: TaggerModel, sentences: list[list[str]]) -> list[dict]:
+    return [
+        {attr: reference_tags(model, forms, attr) for attr in ATTRIBUTES} for forms in sentences
+    ]
+
+
+def test_memo_gives_the_reference_tags_cold_warm_and_filled_elsewhere(trained_tagger):
+    sentences = _memo_sentences(seed=4)
+    want = _reference(trained_tagger, sentences)
+
+    model = _fresh(trained_tagger)
+    assert [model.predict(forms) for forms in sentences] == want  # cold
+    assert model._memo
+    assert [model.predict(forms) for forms in sentences] == want  # warm
+
+    other = _fresh(trained_tagger)
+    for forms in _memo_sentences(seed=9):
+        other.predict(forms)
+    assert [other.predict(forms) for forms in sentences] == want
+    for forms, tags in zip(sentences, want):
+        for attr in ATTRIBUTES:
+            assert other.predict_attribute(forms, attr) == tags[attr]
+
+
+def test_memo_holds_only_forms_with_a_word_row(trained_tagger):
+    model = _fresh(trained_tagger)
+    sentences = _memo_sentences(seed=4)
+    for forms in sentences:
+        model.predict(forms)
+    known = {
+        form for forms in sentences for form in forms
+        if any(model.weights[attr].get("w=" + form) for attr in ATTRIBUTES)
+    }
+    assert set(model._memo) == known
+    for oov in ("Ljouwert", "12e", "x", "q", "2024", "boeken"):
+        assert oov not in model._memo
+    assert {"De", "man", "."} <= known
+
+
+def test_threads_sharing_one_memo_get_the_reference_tags(trained_tagger):
+    sentences = _memo_sentences(seed=4)
+    want = _reference(trained_tagger, sentences)
+    model = _fresh(trained_tagger)
+    start = threading.Barrier(4, timeout=30)
+    results: list = [None] * 4
+
+    def work(k):
+        start.wait()
+        results[k] = [model.predict(forms) for forms in sentences[k:] + sentences[:k]]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, got in enumerate(results):
+        assert got == want[k:] + want[:k]
+
+
+def test_history_features_are_added_before_the_tail():
+    # Class "a" scores (1e16 - 1e16) + 1.0 = 1.0 in feature order; adding
+    # cap before pt and ppt would lose the 1.0 to rounding and pick "b".
+    weights = {
+        "bias": {"b": 0.5},
+        "w=X": {"b": 0.0},
+        "pt=<s>": {"a": 1e16},
+        "ppt=<s>+<s>": {"a": -1e16},
+        "cap": {"a": 1.0},
+    }
+    classes = ["a", "b"]
+    model = TaggerModel(
+        weights={attr: weights for attr in ATTRIBUTES},
+        classes={attr: classes for attr in ATTRIBUTES},
+    )
+    for _ in range(2):  # cold, then from the memo
+        got = model.predict(["X"])
+        assert got == {attr: reference_tags(model, ["X"], attr) for attr in ATTRIBUTES}
+        assert got["upos"] == ["a"]
+    assert list(model._memo) == ["X"]

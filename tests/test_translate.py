@@ -2,6 +2,7 @@
 
 import json
 import logging
+import socket
 import threading
 import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -14,6 +15,7 @@ from udbridge.translate import (
     LexiconCache,
     PivotSentence,
     Quoting,
+    DEAD_AFTER,
     RemoteServiceBackend,
     StaticLexiconBackend,
     TranslatorClient,
@@ -192,6 +194,49 @@ def test_a_word_whose_attempts_failed_is_asked_for_again():
     assert client.translate_word("wurd") == "woord"
     assert backend.calls == ["wurd"] * 3
     assert client.fallback_count == 1
+
+
+def test_a_dead_backend_is_called_no_more():
+    backend = CountingBackend({}, errors={w: 99 for w in "abcdef"})
+    client = TranslatorClient(backend, max_retries=2)
+    sent = client.translate_sentence(list("abcdefa"))
+    assert sent.pivot_tokens == list("abcdefa")
+    assert sent.fallbacks == [True] * 7
+    assert client.fallback_count == 7
+    assert DEAD_AFTER == 3
+    assert backend.calls == ["a"] * 3 + ["b"] * 3 + ["c"] * 3
+    assert client.remote_calls == 9
+
+
+def test_a_translation_or_a_miss_resets_the_dead_count(tmp_path):
+    errors = {w: 99 for w in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"]}
+    backend = CountingBackend({"ok": "goed"}, errors=errors)
+    client = TranslatorClient(backend, max_retries=1, cache=LexiconCache())
+    words = ["e1", "e2", "ok", "e3", "e4", "mis", "e5", "e6", "e7", "e8", "ok", "mis"]
+    sent = client.translate_sentence(words)
+    # e1, e2 and e3, e4 fail, but a translation and a miss come between;
+    # e5, e6 and e7 fail in a row, so e8 and the second miss are not sent,
+    # and the cached translation still holds
+    assert sent.pivot_tokens == words[:2] + ["goed"] + words[3:10] + ["goed", "mis"]
+    assert sent.fallbacks == [True, True, False] + [True] * 7 + [False, True]
+    assert backend.calls == (
+        ["e1", "e1", "e2", "e2", "ok", "e3", "e3", "e4", "e4", "mis"]
+        + ["e5", "e5", "e6", "e6", "e7", "e7"]
+    )
+    assert client.fallback_count == 10
+
+
+def test_a_remote_backend_on_a_closed_port_is_given_up():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    # nothing listens on the port now, so every connection is refused
+    client = TranslatorClient(RemoteServiceBackend(f"http://127.0.0.1:{port}/translate"))
+    sent = client.translate_sentence(["de", "man", "rint", "nei", "hûs", "."])
+    assert sent.pivot_tokens == ["de", "man", "rint", "nei", "hûs", "."]
+    assert sent.fallbacks == [True] * 6
+    assert client.remote_calls == 3 * DEAD_AFTER
+    assert client.fallback_count == 6
 
 
 def test_multiword_answer_collapses_to_first():
