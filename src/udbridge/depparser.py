@@ -10,18 +10,31 @@ a one-token sentence parses without consulting weights.
 Training follows the static oracle on a projectivized copy of the gold
 trees (non-projective arcs are repeatedly lifted to the grandparent);
 evaluation and reporting always use the original trees.
+
+The order of the features _node_feats lists is fixed, and scores are
+summed in that order. ParserModel.parse relies on it: it remembers, per
+(form, tag), each class's score after the first four features (bias and
+the s0 word and tag) and that token's rows for the s1, s2, b0 and b1
+slots, keeps the tag-triple, arc-label and distance rows in small tables,
+and adds the rows of a decision to a copy of the s0 scores in the old
+order. Each class gets the same float additions in the same order as
+summing every feature from 0.0, so the parses are the same. Reordering the
+features changes the parses.
 """
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from .conllu import Document, Sentence
 from .errors import DataError
-from .perceptron import AveragedPerceptron, best_index, compile_rows
+from .perceptron import AveragedPerceptron, Rows, compile_rows
 
 SHIFT = "shift"
 _NONE = "<none>"
 _ROOT = "<root>"
+# an arc label: non-empty, no whitespace
+_LABEL = re.compile(r"\S+")
 
 
 def validate_tree(sent: Sentence) -> None:
@@ -46,17 +59,6 @@ def validate_tree(sent: Sentence) -> None:
                 raise DataError(f"sentence {label}: head cycle through token {node}")
             seen.add(node)
             node = heads[node]
-
-
-def is_projective(heads: list[int]) -> bool:
-    """heads[0] unused; token i has head heads[i]."""
-    n = len(heads) - 1
-    for dep in range(1, n + 1):
-        lo, hi = sorted((dep, heads[dep]))
-        for k in range(lo + 1, hi):
-            if not lo <= heads[k] <= hi:
-                return False
-    return True
 
 
 def projectivize(heads: list[int]) -> list[int]:
@@ -214,6 +216,32 @@ def oracle_move(state: _State, heads: list[int], deprels: list[str], n_children:
     return SHIFT
 
 
+def check_moves(classes: list[str], root_label: str) -> None:
+    """Parser classes must be shift, left:<label> or right:<label>, and
+    labels, the root label among them, non-empty without whitespace."""
+    for move in classes:
+        kind, _, label = move.partition(":")
+        if move != SHIFT and (kind not in ("left", "right") or not _LABEL.fullmatch(label)):
+            raise DataError(f"parser class {move!r} is not shift, left:<label> or right:<label>")
+    if not _LABEL.fullmatch(root_label):
+        raise DataError(f"parser root_label {root_label!r} is empty or has whitespace")
+
+
+def _pairs(rows: Rows, *feats: str) -> tuple[tuple[int, float], ...]:
+    """The (class, weight) pairs of the rows of `feats`, in feature order."""
+    out: tuple = ()
+    for feat in feats:
+        out += rows.get(feat, ())
+    return out
+
+
+# The feature prefixes that name a token's word rows and its tag rows, and
+# the arc-label features in feature order.
+_WORD_SLOTS = ("s0w=", "s1w=", "b0w=", "b1w=")
+_TAG_SLOTS = ("s0t=", "s1t=", "s2t=", "b0t=", "b1t=")
+_LABEL_SLOTS = ("s0lc=", "s0rc=", "s1lc=", "s1rc=")
+
+
 @dataclass
 class ParserModel:
     weights: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -222,17 +250,84 @@ class ParserModel:
     root_label: str = "root"
 
     def __post_init__(self):
+        check_moves(self.classes, self.root_label)
         # The moves scored (sorted, with "shift"), the weights frozen over
         # them, and the candidate index lists for _open_moves; never saved.
         self._moves = sorted(set(self.classes) | {SHIFT})
-        self._rows = compile_rows(self.weights, self._moves)
+        rows = self._rows = compile_rows(self.weights, self._moves)
         self._every, self._arcs, self._shift_only = _candidates(self._moves)
+        # The tables parse() scores from; never saved. Per arc label (and
+        # _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
+        # distance; and two memos filled as tokens come. Handler threads
+        # share the memos: a dict get or set is atomic, and two threads
+        # that miss the same key store equal entries.
+        labels = {move.partition(":")[2] for move in self._moves if move != SHIFT}
+        self._label_rows = {
+            label: tuple(rows.get(slot + label, ()) for slot in _LABEL_SLOTS)
+            for label in labels | {self.root_label, _NONE}
+        }
+        self._dist_rows = tuple(rows.get(f"dist={d}", ()) for d in range(6))
+        # (form, tag) -> (s0 scores, s1 pairs, s2 pairs, b0 pairs, b1 pairs)
+        self._tokens: dict[tuple[str, str], tuple] = {}
+        # (s0 tag, s1 tag, b0 tag) -> (s0s1t pairs, s0b0t + s1b0t + s0s1b0t pairs)
+        self._triples: dict[tuple[str, str, str], tuple] = {}
+
+    def _known_tag(self, tag: str) -> bool:
+        rows = self._rows
+        return any(slot + tag in rows for slot in _TAG_SLOTS)
+
+    def _token(self, key: tuple[str, str]) -> tuple:
+        """What the features of a (form, tag) token contribute in each
+        slot. Remembered only for a form with a word row and a tag with a
+        tag row, so the memo never outgrows the model."""
+        form, tag = key
+        rows = self._rows
+        wt = form + "/" + tag
+        scores = [0.0] * len(self._moves)
+        for i, w in _pairs(rows, "bias", "s0w=" + form, "s0t=" + tag, "s0wt=" + wt):
+            scores[i] += w
+        entry = (
+            tuple(scores),
+            _pairs(rows, "s1w=" + form, "s1t=" + tag, "s1wt=" + wt),
+            _pairs(rows, "s2t=" + tag),
+            _pairs(rows, "b0w=" + form, "b0t=" + tag, "b0wt=" + wt),
+            _pairs(rows, "b1w=" + form, "b1t=" + tag),
+        )
+        if any(slot + form in rows for slot in _WORD_SLOTS) and self._known_tag(tag):
+            self._tokens[key] = entry
+        return entry
+
+    def _triple(self, key: tuple[str, str, str]) -> tuple:
+        """The tag-pair and tag-triple rows of (s0, s1, b0) tags, split
+        where the s0s1w row goes. Remembered only when all three tags have
+        a tag row."""
+        s0t, s1t, b0t = key
+        rows = self._rows
+        entry = (
+            _pairs(rows, "s0s1t=" + s0t + "+" + s1t),
+            _pairs(rows, "s0b0t=" + s0t + "+" + b0t, "s1b0t=" + s1t + "+" + b0t,
+                   "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t),
+        )
+        if all(map(self._known_tag, key)):
+            self._triples[key] = entry
+        return entry
 
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
-        """Greedy parse; returns 1-based heads and deprels per token."""
+        """Greedy parse; returns 1-based heads and deprels per token.
+
+        Scores each decision like summing the rows of _node_feats in order
+        (see the module docstring)."""
         state = _State(n=len(forms))
         pforms, ptags = _padded(forms), _padded(tags)
-        moves, rows = self._moves, self._rows
+        # the root (node 0) never fills a feature slot
+        memo, token = self._tokens, self._token
+        tokens = [None] + [memo.get(key) or token(key) for key in zip(pforms[1:], ptags[1:])]
+        moves, get = self._moves, self._rows.get
+        triples, label_rows, dist_rows = self._triples, self._label_rows, self._dist_rows
+        none = state.n + 1
+        stack, lc, rc = state.stack, state.lc, state.rc
+        # A decision is scored only when _open_moves offers two moves or
+        # more, that is with two tokens on the stack: s0 and s1 are tokens.
         while not state.terminal():
             open_moves = _open_moves(state, self._every, self._arcs, self._shift_only)
             if open_moves is None:
@@ -240,8 +335,29 @@ class ParserModel:
             elif len(open_moves) == 1:
                 move = moves[open_moves[0]]
             else:
-                feats = _node_feats(state, pforms, ptags)
-                move = moves[best_index(rows, feats, len(moves), open_moves)]
+                s0, s1 = stack[-1], stack[-2]
+                s2 = stack[-3] if len(stack) > 3 else none
+                b0 = state.next_buf
+                key = (ptags[s0], ptags[s1], ptags[b0])
+                triple = triples.get(key) or self._triple(key)
+                scores = list(tokens[s0][0])
+                for pairs in (
+                    tokens[s1][1],
+                    tokens[s2][2],
+                    tokens[b0][3],
+                    tokens[b0 + 1][4],
+                    triple[0],
+                    get("s0s1w=" + pforms[s0] + "+" + pforms[s1], ()),
+                    triple[1],
+                    label_rows[lc[s0][1] if s0 in lc else _NONE][0],
+                    label_rows[rc[s0][1] if s0 in rc else _NONE][1],
+                    label_rows[lc[s1][1] if s1 in lc else _NONE][2],
+                    label_rows[rc[s1][1] if s1 in rc else _NONE][3],
+                    dist_rows[min(s0 - s1, 5)],
+                ):
+                    for i, w in pairs:
+                        scores[i] += w
+                move = moves[max(open_moves, key=scores.__getitem__)]
             state.apply(move, self.root_label)
         return state.heads[1:], state.deprels[1:]
 
@@ -289,6 +405,11 @@ def train_parser(
         forms, tags, heads, deprels = _sentence_arrays(sent)
         proj_heads = projectivize(heads)
         for dep in range(1, len(heads)):
+            if not _LABEL.fullmatch(deprels[dep]):
+                raise DataError(
+                    f"sentence {sent.sent_id}: token {dep} has DEPREL {deprels[dep]!r},"
+                    " which is empty or has whitespace"
+                )
             if proj_heads[dep] == 0:
                 root_counts[deprels[dep]] = root_counts.get(deprels[dep], 0) + 1
             else:

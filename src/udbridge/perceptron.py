@@ -11,12 +11,12 @@ the mean of the post-update weight snapshots over all ticks so far; the
 lazy total/timestamp bookkeeping avoids touching untouched weights.
 
 Trained models score through frozen tables: compile_rows() turns a
-feature -> {class: weight} table into class-indexed rows once. The parser
-scores each decision with best_index(); the tagger sums the same rows in
-its own decoder, which starts from remembered per-form scores.
-predict_with() is the reference for predict(), best_index() and the
-tagger on the dict form: all of them sum each class's score from 0.0 in
-feature order and give ties to the earliest class.
+feature -> {class: weight} table into class-indexed rows once. The tagger
+and the parser sum those rows in their own decoders, which start from
+remembered per-form or per-token scores. predict_with() is the reference
+for predict() and both decoders on the dict form: all of them sum each
+class's score from 0.0 in feature order and give ties to the earliest
+class.
 """
 
 from itertools import chain
@@ -49,7 +49,7 @@ class AveragedPerceptron:
 
     def predict(self, features: list[str], candidates: list[int]) -> int:
         """The highest-scoring of `candidates` (ascending indices); ties go
-        to the earliest. Sums like best_index()."""
+        to the earliest. Sums like predict_with()."""
         if len(candidates) == 1:
             return candidates[0]
         scores = [0.0] * len(self.classes)
@@ -161,23 +161,3 @@ def compile_rows(weights: dict[str, dict[str, float]], classes: list[str]) -> Ro
 
 def _names(kinds: set[type]) -> str:
     return ", ".join(sorted(kind.__name__ for kind in kinds))
-
-
-def best_index(rows: Rows, features: list[str], n_classes: int, candidates: list[int] | None = None) -> int:
-    """Index of the highest-scoring class among `candidates` (ascending
-    indices; None means all `n_classes`). Ties go to the earliest index.
-
-    Each class's score is summed with += from 0.0 in feature order, like
-    predict_with, so the same weights pick the same class. Not sum():
-    from Python 3.12 it rounds float totals differently.
-    """
-    scores = [0.0] * n_classes
-    get = rows.get
-    for feat in features:
-        row = get(feat)
-        if row is not None:
-            for i, w in row:
-                scores[i] += w
-    if candidates is None:
-        return scores.index(max(scores))
-    return max(candidates, key=scores.__getitem__)

@@ -72,7 +72,7 @@ def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]
 
 def _add_scores(rows: Rows, features, scores: list[float]) -> list[float]:
     """Add each feature's row into `scores` with +=, in feature order, like
-    best_index. Not sum(): from Python 3.12 it rounds float totals
+    predict_with. Not sum(): from Python 3.12 it rounds float totals
     differently."""
     get = rows.get
     for feat in features:

@@ -3,7 +3,9 @@
 Everything here is deliberately written from the underlying definitions
 with different data structures than the library (dense tables, exact
 rationals, plain token loops) so that agreement between the two is
-meaningful evidence rather than the same code run twice.
+meaningful evidence rather than the same code run twice. It also holds
+two helpers that only the tests call: an argmax over compiled weight rows
+and a projectivity check.
 """
 
 import math
@@ -143,6 +145,43 @@ class SnapshotPerceptron:
             if total != 0.0:
                 out.setdefault(feat, {})[cls] = total / self.ticks
         return out
+
+
+# ------------------------------------------- compiled rows and projectivity
+
+
+def best_index(
+    rows: dict, features: list[str], n_classes: int, candidates: list[int] | None = None
+) -> int:
+    """Index of the highest-scoring class among `candidates` (ascending
+    indices; None means all `n_classes`) over rows compiled by
+    perceptron.compile_rows. Ties go to the earliest index.
+
+    Each class's score is summed with += from 0.0 in feature order, like
+    predict_with, so the same weights pick the same class. Not sum():
+    from Python 3.12 it rounds float totals differently.
+    """
+    scores = [0.0] * n_classes
+    get = rows.get
+    for feat in features:
+        row = get(feat)
+        if row is not None:
+            for i, w in row:
+                scores[i] += w
+    if candidates is None:
+        return scores.index(max(scores))
+    return max(candidates, key=scores.__getitem__)
+
+
+def is_projective(heads: list[int]) -> bool:
+    """heads[0] unused; token i has head heads[i]."""
+    n = len(heads) - 1
+    for dep in range(1, n + 1):
+        lo, hi = sorted((dep, heads[dep]))
+        for k in range(lo + 1, hi):
+            if not lo <= heads[k] <= hi:
+                return False
+    return True
 
 
 # ------------------------------------------------------ accuracy counting

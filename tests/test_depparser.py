@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from oracles import is_projective
 from synth import make_corpus
 from udbridge.conllu import parse_conllu
 from udbridge.depparser import (
     SHIFT,
     ParserModel,
     _State,
-    is_projective,
     oracle_move,
     projectivize,
     train_parser,
@@ -335,6 +335,13 @@ def test_train_parser_input_validation():
         tok.upos = None
     with pytest.raises(DataError, match="no upos"):
         train_parser(untagged)
+
+    # a DEPREL that no parser move can carry, as CoNLL-U reads it
+    for deprel in ("", "a b"):
+        odd = make_corpus(4, seed=1)
+        odd.sentences[1].tokens[0].deprel = deprel
+        with pytest.raises(DataError, match=f"synth-2: token 1 has DEPREL {deprel!r}"):
+            train_parser(odd, epochs=1)
 
 
 def test_synth_templates_are_projective():

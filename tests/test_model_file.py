@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 from synth import make_corpus
@@ -102,6 +103,34 @@ def test_unparseable_feats_class_is_a_data_error(payload, tmp_path):
     bad["tagger"]["classes"]["feats"].append("Case")
     path = write(tmp_path, bad)
     with pytest.raises(DataError, match="tagger feats class 'Case'"):
+        PipelineModel.load(path)
+    code, err = annotate_exit(path)
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("move", ["zzz", "left:", "right:a b", "shift:dep", "Left:dep"])
+def test_malformed_parser_move_is_a_data_error(payload, tmp_path, move):
+    # Loaded, "zzz" used to fail every annotation as an unknown transition
+    # (a 400 from the service), and "left:" wrote an empty DEPREL.
+    bad = json.loads(json.dumps(payload))
+    bad["parser"]["classes"] = sorted(bad["parser"]["classes"] + [move])
+    path = write(tmp_path, bad)
+    with pytest.raises(DataError, match=f"malformed model: parser class {re.escape(repr(move))}"):
+        PipelineModel.load(path)
+    code, err = annotate_exit(path)
+    assert code == 2 and err.startswith("error: ") and repr(move) in err
+    err = io.StringIO()
+    code = main(["serve", "--bind", "127.0.0.1:0", "--model", path], stdin=io.StringIO(),
+                stdout=io.StringIO(), stderr=err)
+    assert code == 2 and repr(move) in err.getvalue()
+
+
+@pytest.mark.parametrize("label", ["", "a b", "root\n"])
+def test_malformed_root_label_is_a_data_error(payload, tmp_path, label):
+    bad = json.loads(json.dumps(payload))
+    bad["parser"]["root_label"] = label
+    path = write(tmp_path, bad)
+    with pytest.raises(DataError, match="malformed model: parser root_label"):
         PipelineModel.load(path)
     code, err = annotate_exit(path)
     assert code == 2 and err.startswith("error: ")

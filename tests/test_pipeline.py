@@ -180,16 +180,34 @@ _UNSEEN_LINES = (
 )
 
 
+# Gold tags for the unseen lines in the goldtokmorph setting, made-up
+# ones among them.
+_UNSEEN_TAGS = ("PROPN", "VERB", "NUM", "X", "NOUN", "ZZZ", "ADP", "PUNCT", "Q9")
+
+
+def _golden_source(setting: EvalSetting, seed: int):
+    gold = make_corpus(20, seed=seed)
+    text = corpus_text(gold) + "\n" + _UNSEEN_LINES
+    if setting is EvalSetting.RAW_TEXT:
+        return text
+    if setting is EvalSetting.GOLD_TOK:
+        return tokenize(text)
+    unseen = tokenize(_UNSEEN_LINES)
+    for k, tok in enumerate(unseen.tokens()):
+        tok.upos = _UNSEEN_TAGS[k % len(_UNSEEN_TAGS)]
+    gold.sentences += unseen.sentences
+    return gold
+
+
 # SHA-256 of the annotated CoNLL-U; a faster tagger or parser must not
-# move them.
+# move them. goldtokmorph runs the parser alone, on gold tags.
 @pytest.mark.parametrize("setting, seed, sha256", [
     (EvalSetting.RAW_TEXT, 21, "44863f5ae3d54c7ec021318873199159af5353d746606b27f02ba6819b15cb6a"),
     (EvalSetting.GOLD_TOK, 22, "a8ba21c65d9cd252f18e90502a20912e0610a6c881b110ec22b65bff223024c4"),
+    (EvalSetting.GOLD_TOK_MORPH, 23, "42af6984bf179a00ea29587d5bed10f0f0771bef9361f5666e918d0b4e5e34f5"),
 ])
 def test_annotation_bytes_are_golden(model, setting, seed, sha256):
-    text = corpus_text(make_corpus(20, seed=seed)) + "\n" + _UNSEEN_LINES
-    source = text if setting is EvalSetting.RAW_TEXT else tokenize(text)
-    out = serialize_conllu(annotate(source, model, setting))
+    out = serialize_conllu(annotate(_golden_source(setting, seed), model, setting))
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 

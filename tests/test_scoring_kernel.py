@@ -5,6 +5,7 @@ import sys
 import threading
 
 import pytest
+from oracles import best_index
 from synth import make_corpus
 
 from udbridge.depparser import (
@@ -16,8 +17,11 @@ from udbridge.depparser import (
     train_parser,
 )
 from udbridge.errors import DataError
-from udbridge.perceptron import AveragedPerceptron, best_index, compile_rows, predict_with
+from udbridge.lemmatizer import LemmaRules
+from udbridge.perceptron import AveragedPerceptron, compile_rows, predict_with
+from udbridge.pipeline import EvalSetting, PipelineModel, annotate
 from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, token_features, train_tagger
+from udbridge.tokenizer import tokenize
 
 # Few distinct values, so that equal scores (ties) are common.
 _VALUES = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
@@ -282,3 +286,132 @@ def test_history_features_are_added_before_the_tail():
         assert got == {attr: reference_tags(model, ["X"], attr) for attr in ATTRIBUTES}
         assert got["upos"] == ["a"]
     assert list(model._memo) == ["X"]
+
+
+# ------------------------------------------------------ the parser's token memo
+
+# Made-up tags beside the grammar's: goldtokmorph takes tags from clients.
+_ODD_TAGS = ("ZZZ", "NOUN", "q", "VERB", "PUNCT", "<none>", "X1")
+
+
+def _parse_sentences(seed: int) -> list[tuple[list[str], list[str]]]:
+    held = make_corpus(25, seed=seed)
+    out = [([t.form for t in s.tokens], [t.upos for t in s.tokens]) for s in held.sentences]
+    for forms in _ODD_SENTENCES:
+        out.append((forms, [_ODD_TAGS[k % len(_ODD_TAGS)] for k in range(len(forms))]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained_parser() -> ParserModel:
+    return train_parser(make_corpus(60, seed=3), epochs=2)
+
+
+def _fresh_parser(model: ParserModel) -> ParserModel:
+    """The same weights with empty memos."""
+    return ParserModel(weights=model.weights, classes=model.classes, labels=model.labels,
+                       root_label=model.root_label)
+
+
+def _memo_sizes(model: ParserModel) -> tuple[int, int]:
+    return len(model._tokens), len(model._triples)
+
+
+def test_parser_memo_gives_the_reference_parse_cold_warm_and_filled_elsewhere(trained_parser):
+    sentences = _parse_sentences(seed=4)
+    want = [reference_parse(trained_parser, forms, tags) for forms, tags in sentences]
+
+    model = _fresh_parser(trained_parser)
+    assert [model.parse(forms, tags) for forms, tags in sentences] == want  # cold
+    assert model._tokens and model._triples
+    assert [model.parse(forms, tags) for forms, tags in sentences] == want  # warm
+
+    other = _fresh_parser(trained_parser)
+    for forms, tags in _parse_sentences(seed=9):
+        other.parse(forms, tags)
+    assert [other.parse(forms, tags) for forms, tags in sentences] == want
+
+
+def test_parser_memo_holds_only_known_forms_and_tags(trained_parser):
+    model = _fresh_parser(trained_parser)
+    for forms, tags in _parse_sentences(seed=4):
+        model.parse(forms, tags)
+    weights = model.weights
+
+    def known_form(form):
+        return any(slot + form in weights for slot in ("s0w=", "s1w=", "b0w=", "b1w="))
+
+    def known_tag(tag):
+        return any(slot + tag in weights for slot in ("s0t=", "s1t=", "s2t=", "b0t=", "b1t="))
+
+    assert all(known_form(form) and known_tag(tag) for form, tag in model._tokens)
+    assert all(known_tag(tag) for triple in model._triples for tag in triple)
+    assert not any(tag in ("ZZZ", "q", "X1") for _, tag in model._tokens)
+
+
+def test_goldtokmorph_with_made_up_tags_and_unseen_forms_leaves_the_memo_alone(
+    trained_tagger, trained_parser
+):
+    model = PipelineModel(tagger=trained_tagger, lemma_rules=LemmaRules(),
+                          parser=_fresh_parser(trained_parser))
+    for forms, tags in _parse_sentences(seed=4):
+        model.parser.parse(forms, tags)
+    before = _memo_sizes(model.parser)
+    doc = tokenize("Ljouwert fynt 12e x-beamen. De Wytske man boeken q.")
+    for k, tok in enumerate(doc.tokens()):
+        tok.upos = f"TAG{k % 3}"
+    for _ in range(2):
+        out = annotate(doc, model, EvalSetting.GOLD_TOK_MORPH)
+        assert _memo_sizes(model.parser) == before
+    for sent, got in zip(doc.sentences, out.sentences):
+        forms = [t.form for t in sent.tokens]
+        tags = [t.upos for t in sent.tokens]
+        heads, deprels = reference_parse(trained_parser, forms, tags)
+        assert [t.head for t in got.tokens] == heads
+        assert [t.deprel for t in got.tokens] == deprels
+
+
+def test_threads_sharing_one_parser_memo_get_the_reference_parse(trained_parser):
+    sentences = _parse_sentences(seed=4)
+    want = [reference_parse(trained_parser, forms, tags) for forms, tags in sentences]
+    model = _fresh_parser(trained_parser)
+    start = threading.Barrier(4, timeout=30)
+    results: list = [None] * 4
+
+    def work(k):
+        start.wait()
+        order = sentences[k:] + sentences[:k]
+        results[k] = [model.parse(forms, tags) for forms, tags in order]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, got in enumerate(results):
+        assert got == want[k:] + want[:k]
+
+
+def test_s1_rows_are_added_after_the_s0_scores():
+    # At the one scored decision (s0 = "X", s1 = "Y") left:a scores
+    # (1e16 - 1e16) + 1.0 = 1.0 in feature order and beats right:a's 0.5;
+    # adding the s1 row before the s0 scores would lose the 1.0 to rounding
+    # and pick right:a.
+    weights = {
+        "bias": {"left:a": 1e16, "right:a": 0.5},
+        "s0w=X": {"left:a": -1e16},
+        "s0t=T": {"shift": 0.0},
+        "s1w=Y": {"left:a": 1.0},
+    }
+    model = ParserModel(weights=weights, classes=["left:a", "right:a", SHIFT], labels=["a"])
+    for _ in range(2):  # cold, then from the memo
+        got = model.parse(["Y", "X"], ["T", "T"])
+        assert got == reference_parse(model, ["Y", "X"], ["T", "T"])
+        assert got == ([2, 0], ["a", "root"])
+    assert set(model._tokens) == {("X", "T"), ("Y", "T")}
