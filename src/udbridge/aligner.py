@@ -71,10 +71,8 @@ class TranslationTable:
 
     def dumps(self) -> str:
         """Canonical text form, used for byte-level determinism checks."""
-        lines = [
-            f"# iterations={self.config.iterations} lambda={self.config.lambda_!r}"
-            f" null_prob={self.config.null_prob!r} seed={self.config.seed}"
-        ]
+        settings = [f"{key}={getattr(self.config, name)!r}" for key, (name, _) in _HEADER_KEYS.items()]
+        lines = ["# " + " ".join(settings)]
         lines.extend(
             f"{src}\t{tgt}\t{prob!r}"
             for src, row in sorted(self.t.items())
@@ -142,15 +140,6 @@ def _read_header(line: str) -> AlignerConfig:
         raise DataError(f"translation table line 1: {err}") from None
 
 
-def _total(values) -> float:
-    """Left-to-right float sum. Not sum(): from Python 3.12 it rounds
-    differently, and the translation table must not depend on the version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list[float]:
     """Prior over real source positions for target position j; sums to
     1 - null_prob."""
@@ -160,7 +149,9 @@ def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list
         weights = [
             math.exp(-cfg.lambda_ * abs(i / n_src - j / n_tgt)) for i in range(n_src)
         ]
-    z = _total(weights)
+    # left to right, not sum(): from Python 3.12 sum() rounds differently,
+    # and the translation table must not depend on the version
+    z = functools.reduce(operator.add, weights, 0.0)
     # a weight sum that underflowed to 0, or so near 0 that the scale
     # overflows, would make every prior 0, inf or nan
     scale = (1.0 - cfg.null_prob) / z if z > 0.0 else math.inf
@@ -249,7 +240,7 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
         for pair, srcs, positions in plan:
             for null_cell, priors, cell_ids in positions:
                 terms = list(map(operator.mul, priors, map(p_of, cell_ids)))
-                # the same left-to-right additions as _total, null first
+                # left-to-right additions, as in _position_priors, null first
                 if use_null:
                     null_w = null_prob * p[null_cell]
                     z = functools.reduce(operator.add, terms, null_w)

@@ -43,13 +43,7 @@ from .projection import (
     project_via_pivot,
     serialize_projected,
 )
-from .stats import (
-    cooc_edges_tsv,
-    genre_distribution,
-    split_by_genre,
-    top_tokens_tsv,
-    upos_freq_tsv,
-)
+from .stats import genre_distribution, report_tsv, split_by_genre
 from .tokenizer import TokenizerConfig, load_abbreviations, tokenize
 from .translate import (
     IdentityBackend,
@@ -60,7 +54,7 @@ from .translate import (
     TranslatorClient,
     load_lexicon,
 )
-from .util import read_text
+from .util import read_text, write_atomically
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,8 +135,7 @@ def cmd_align(args, stdin, stdout, stderr) -> int:
         )
         table = train_aligner(pairs, cfg)
     if args.save_table:
-        with open(args.save_table, "w", encoding="utf-8") as fh:
-            fh.write(table.dumps())
+        write_atomically(args.save_table, table.dumps())
     crossings = 0
     for pair in pairs:
         links = viterbi_align(table, pair)
@@ -159,8 +152,7 @@ def cmd_train(args, stdin, stdout, stderr) -> int:
     if args.split:
         train_doc, dev_doc, test_doc = split_corpus(train_doc, SplitSpec(seed=args.seed))
         if args.test_out:
-            with open(args.test_out, "w", encoding="utf-8") as fh:
-                fh.write(serialize_conllu(test_doc))
+            write_atomically(args.test_out, serialize_conllu(test_doc))
     elif args.dev:
         dev_doc = parse_conllu(read_text(args.dev))
     model = train_pipeline(
@@ -270,14 +262,11 @@ def cmd_stats(args, stdin, stdout, stderr) -> int:
     doc = parse_conllu(_read_input(args, stdin))
     if args.report == "genres":
         stdout.write(genre_distribution(split_by_genre(doc)).to_tsv())
-    elif args.report == "upos":
-        stdout.write(upos_freq_tsv(doc))
-    elif args.report == "top":
-        stdout.write(top_tokens_tsv(doc, args.top_n))
-    else:
-        if not args.upos_filter:
-            raise UsageError("--report cooc needs --upos-filter")
-        stdout.write(cooc_edges_tsv(doc, args.upos_filter, args.min_weight))
+        return 0
+    if args.report == "cooc" and not args.upos_filter:
+        raise UsageError("--report cooc needs --upos-filter")
+    options = {"top_n": args.top_n, "upos_filter": args.upos_filter, "min_weight": args.min_weight}
+    stdout.write(report_tsv(doc, args.report, **options))
     return 0
 
 
@@ -417,7 +406,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except UsageError as err:
         stderr.write(f"usage error: {err}\n")
         return 1
-    except (UdbridgeError, OSError, UnicodeDecodeError) as err:
+    except (UdbridgeError, OSError, UnicodeError) as err:
         stderr.write(f"error: {err}\n")
         return 2
 

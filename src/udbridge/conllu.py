@@ -21,6 +21,8 @@ UPOS_TAGS = frozenset(
     "ADJ ADP ADV AUX CCONJ DET INTJ NOUN NUM PART PRON PROPN PUNCT SCONJ SYM VERB X".split()
 )
 
+_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS", "HEAD", "DEPREL", "DEPS", "MISC")
+
 # Comment keys that are parsed into key/value form; anything else is kept verbatim.
 _KNOWN_COMMENT_KEYS = ("sent_id", "text", "genre")
 
@@ -120,6 +122,13 @@ class Sentence:
             self.comments.insert(pos, (key, value))
         else:
             self.comments.append((key, value))
+
+    def fill_header(self, position: int) -> None:
+        """Default the sent_id to the 1-based `position` in the document and
+        rebuild the `text` comment from the forms and SpaceAfter."""
+        if self.sent_id is None:
+            self.sent_id = str(position)
+        self._set_comment("text", self.text())
 
     @property
     def sent_id(self) -> str | None:
@@ -251,9 +260,7 @@ def parse_conllu(text: str) -> Document:
             raise ConlluParseError("comment block without token lines", first_line)
         sent = Sentence(tokens=sent_tokens, ranges=sent_ranges, comments=sent_comments)
         _check_sentence(sent, first_line, token_lines, range_lines)
-        if sent.sent_id is None:
-            sent.sent_id = str(len(doc.sentences) + 1)
-        sent._set_comment("text", sent.text())
+        sent.fill_header(len(doc.sentences) + 1)
         sent.assign_char_spans()
         doc.sentences.append(sent)
         sent_tokens, sent_ranges, sent_comments = [], [], []
@@ -283,22 +290,14 @@ def parse_conllu(text: str) -> Document:
             raise ConlluParseError(
                 f"expected 10 tab-separated columns, got {len(cols)}", line_no
             )
+        if "" in cols:
+            raise ConlluParseError(f"empty {_COLUMNS[cols.index('')]} column", line_no)
         tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
-        if form == "":
-            raise ConlluParseError("empty FORM column", line_no)
         if "-" in tok_id:
             lo, _, hi = tok_id.partition("-")
             if not lo.isdigit() or not hi.isdigit():
                 raise ConlluParseError(f"malformed range id {tok_id!r}", line_no)
-            for name, col in (
-                ("LEMMA", lemma),
-                ("UPOS", upos),
-                ("XPOS", xpos),
-                ("FEATS", feats),
-                ("HEAD", head),
-                ("DEPREL", deprel),
-                ("DEPS", deps),
-            ):
+            for name, col in zip(_COLUMNS[2:9], cols[2:9]):
                 if col != "_":
                     raise ValidationError(
                         f"range line must leave {name} unset, got {col!r}", line_no
@@ -418,19 +417,11 @@ def serialize_conllu(doc: Document) -> str:
     blocks: list[str] = []
     for idx, sent in enumerate(doc.sentences, start=1):
         lines: list[str] = []
-        # the sentence is not changed: its comments go on a stand-in
-        head = Sentence(tokens=[], comments=list(sent.comments))
-        if head.sent_id is None:
-            head.sent_id = str(idx)
-        reconstructed = sent.text()
-        head._set_comment("text", reconstructed)
+        # the sentence is not changed: its header is filled on a stand-in
+        head = Sentence(sent.tokens, sent.ranges, list(sent.comments))
+        head.fill_header(idx)
         for key, value in head.comments:
-            if key is None:
-                lines.append(value)
-            elif key == "text":
-                lines.append(f"# text = {reconstructed}")
-            else:
-                lines.append(f"# {key} = {value}")
+            lines.append(value if key is None else f"# {key} = {value}")
         range_at = {r.start: r for r in sent.ranges}
         for tok in sent.tokens:
             rng = range_at.get(tok.id)

@@ -12,10 +12,10 @@ Everything runs in the calling process when n < 2, when `os.fork` does
 not exist, when another thread is alive (a forked copy of a threaded
 process can deadlock on a lock that another thread held), and inside a
 running `map_jobs`, in the caller or in a child, so that nested calls
-never run more than n processes.
+never run more than n processes. `fork` and `stop` start and end every
+forked child, the service's workers too.
 """
 
-import contextlib
 import os
 import pickle
 import signal
@@ -47,9 +47,11 @@ def map_jobs(fn, items) -> list:
     pids, pipes = [], []
     try:
         for j in range(1, n):
-            pid, pipe = _fork(fn, items[j::n])
-            pids.append(pid)
-            pipes.append(pipe)
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            def send(pipe, part=items[j::n]):
+                pipe.write(pickle.dumps(_run(fn, part)))
+            pids.append(fork(send, pipes[-1], open(write_fd, "wb")))
         parts = [_run(fn, items[0::n])]
         if parts[0] and not parts[0][0][0]:
             raise parts[0][0][1]  # item 0 failed: no child's failure can come first
@@ -63,13 +65,9 @@ def map_jobs(fn, items) -> list:
                 message = f"a map_jobs child exited with status {code} without its results"
                 parts.append([(False, RuntimeError(message))])
     except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        stop(pids)
         raise
     finally:
-        for pid in pids:
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
         _running = outer
@@ -106,29 +104,38 @@ def _run(fn, items) -> list:
     return pairs
 
 
-def _fork(fn, items):
-    """Fork a child that runs `fn` over `items`. Returns its pid and the
-    read end of the pipe its pickled `_run` pairs arrive on."""
-    read_fd, write_fd = os.pipe()
+def fork(child, ours, theirs) -> int:
+    """Fork a child that runs `child(theirs)`, closes `theirs` and exits
+    with status 0, or with 1 after writing the traceback to stderr if
+    `child` raised; return its pid. `ours` and `theirs` are the ends of a
+    channel: the child closes `ours`, the caller `theirs`, and a failed
+    fork closes both."""
     try:
         pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        ours.close()
+        theirs.close()
         raise
     if pid == 0:
         # The child leaves only through os._exit: it never returns into the
         # caller's stack, flushes the caller's stdio buffers or runs atexit.
         code = 1
         try:
-            os.close(read_fd)
-            data = pickle.dumps(_run(fn, items))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
+            ours.close()
+            with theirs:
+                child(theirs)
             code = 0
         except Exception:
             os.write(2, traceback.format_exc().encode())
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    theirs.close()
+    return pid
+
+
+def stop(pids) -> None:
+    """Kill and reap the children `pids`."""
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    for pid in pids:
+        os.waitpid(pid, 0)

@@ -7,23 +7,20 @@ floats round-trip exactly, so a saved and reloaded model predicts
 identically.
 """
 
-import contextlib
 import json
 import math
-import os
 import random
-import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .conllu import Document, Token, parse_feats, serialize_conllu
 from .depparser import SHIFT, ParserModel, train_parser
 from .errors import DataError
-from .lemmatizer import EditScript, LemmaRules, train_lemmatizer
+from .lemmatizer import CASING_OPS, EditScript, LemmaRules, train_lemmatizer
 from .parallel import map_jobs
 from .tagger import ATTRIBUTES, TaggerModel, train_tagger
 from .tokenizer import TokenizerConfig, tokenize
-from .util import short_hash
+from .util import short_hash, write_atomically
 
 MODEL_FORMAT = "udbridge-pipeline"
 MODEL_VERSION = 1
@@ -120,7 +117,7 @@ class PipelineModel:
                 "weights": self.parser.weights,
             },
         }
-        _write_atomically(path, json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
+        write_atomically(path, json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "PipelineModel":
@@ -170,6 +167,9 @@ class PipelineModel:
             if type(rule) is not list or list(map(type, rule)) != _RULE_TYPES:
                 raise DataError(f"lemmatizer rule {rule!r} is not [str, str, int, str, str, int]")
             suffix, upos, strip, append, casing, freq = rule
+            if strip < 0 or casing not in CASING_OPS or freq < 1:
+                raise DataError(f"lemmatizer rule {rule!r} needs a strip length >= 0,"
+                                f" a casing op in {CASING_OPS} and a frequency >= 1")
             rules.rules.setdefault((suffix, upos), {})[EditScript(strip, append, casing)] = freq
         return cls(
             tagger=TaggerModel(weights=tagger_weights, classes=tagger_classes),
@@ -199,22 +199,6 @@ def read_model_file(path: str) -> bytes:
             return fh.read()
     except OSError as err:
         raise DataError(f"cannot load model from {path}: {err}") from None
-
-
-def _write_atomically(path: str, text: str) -> None:
-    """Write `text` to a new file beside `path`, then rename it over
-    `path`: readers see the old file or the new one, never a torn write,
-    and a failed write leaves the old file and no temporary file behind."""
-    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 def _field(section: dict, key: str, kind: type, where: str = ""):

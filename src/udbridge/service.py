@@ -25,15 +25,14 @@ import os
 import signal
 import socket
 import threading
-import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .conllu import Document, parse_conllu, serialize_conllu, serialize_tsv
 from .errors import DataError, UdbridgeError
-from .parallel import can_fork
+from .parallel import can_fork, fork, stop
 from .pipeline import EvalSetting, PipelineModel, annotate, read_model_file
-from .stats import cooccurrence, top_tokens_per_upos, upos_frequencies
+from .stats import REPORT_COLUMNS, report_rows
 from .util import read_text, short_hash
 
 BIND_ENV_VAR = "UDBRIDGE_BIND"
@@ -165,6 +164,18 @@ class _HttpError(Exception):
         self.status = status
 
 
+def _request_text(payload: dict) -> str:
+    """The request's `text`: a non-blank string that UTF-8 can encode."""
+    text = payload.get("text")
+    if not isinstance(text, str) or not text.strip():
+        raise _HttpError(400, "empty text")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _HttpError(400, "text holds an unpaired surrogate") from None
+    return text
+
+
 class _ResponseWriter(io.BytesIO):
     """A handler's wfile: collects what one response writes and sends it
     with a single sendall when flushed. The server flushes once after each
@@ -273,9 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _annotate(self) -> None:
         payload = self._read_body()
-        text = payload.get("text")
-        if not isinstance(text, str) or not text.strip():
-            raise _HttpError(400, "empty text")
+        text = _request_text(payload)
         fmt = payload.get("format", self.server.config.default_format)
         if fmt not in FORMATS:
             raise _HttpError(400, f"unknown format {fmt!r}")
@@ -292,11 +301,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _stats(self) -> None:
         payload = self._read_body()
-        text = payload.get("text")
-        if not isinstance(text, str) or not text.strip():
-            raise _HttpError(400, "empty text")
+        text = _request_text(payload)
         report = payload.get("report")
-        if report not in ("upos", "top", "cooc"):
+        if not isinstance(report, str) or report not in REPORT_COLUMNS:
             raise _HttpError(400, f"unknown report {report!r}")
         top_n = payload.get("top_n", 10)
         upos_filter = payload.get("upos_filter")
@@ -310,18 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(400, "min_weight must be a positive integer")
         with self.server.worker_slots:
             doc = annotate(text, self.server.model, EvalSetting.RAW_TEXT)
-        if report == "upos":
-            rows = [[tag, count] for tag, count in upos_frequencies(doc)]
-        elif report == "top":
-            rows = []
-            for tag, items in top_tokens_per_upos(doc, top_n).items():
-                rows += [
-                    [tag, rank, form, count]
-                    for rank, (form, count) in enumerate(items, start=1)
-                ]
-        else:
-            edges = cooccurrence(doc, upos_filter, min_weight)
-            rows = [[e.lemma_a, e.lemma_b, e.weight] for e in edges]
+        rows = report_rows(doc, report, top_n, upos_filter, min_weight)
         self._send_json(200, {"report": report, "rows": rows})
 
 
@@ -391,10 +387,7 @@ def serve(server: AnnotationServer) -> None:
         pass
     finally:
         signal.signal(signal.SIGTERM, previous)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+        stop(pids)
         for channel in server.channels:
             channel.close()
         server.server_close()
@@ -409,25 +402,7 @@ def _fork_worker(server: AnnotationServer) -> int:
     """Fork a worker fed through a new channel in `server.channels`; return
     its pid."""
     ours, theirs = socket.socketpair()
-    try:
-        pid = os.fork()
-    except BaseException:
-        ours.close()
-        theirs.close()
-        raise
-    if pid == 0:
-        # The worker leaves only through os._exit: it never returns into the
-        # caller's stack, flushes the caller's stdio buffers or runs atexit.
-        code = 1
-        try:
-            ours.close()
-            _work(server, theirs)
-            code = 0
-        except Exception:
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(code)
-    theirs.close()
+    pid = fork(lambda channel: _work(server, channel), ours, theirs)
     server.channels.append(ours)
     return pid
 

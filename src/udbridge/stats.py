@@ -158,26 +158,29 @@ def cooccurrence(doc: Document, upos_filter: str, min_weight: int = 1) -> list[C
     return edges
 
 
-def upos_freq_tsv(doc: Document) -> str:
-    lines = ["upos\tcount"]
-    lines += [f"{tag}\t{count}" for tag, count in upos_frequencies(doc)]
-    return "\n".join(lines) + "\n"
+# report name -> the columns of its rows
+REPORT_COLUMNS = {
+    "upos": ("upos", "count"),
+    "top": ("upos", "rank", "form", "count"),
+    "cooc": ("lemma_a", "lemma_b", "weight"),
+}
 
 
-def top_tokens_tsv(doc: Document, n: int = 10) -> str:
-    lines = ["upos\trank\tform\tcount"]
-    for tag, items in top_tokens_per_upos(doc, n).items():
-        lines += [
-            f"{tag}\t{rank}\t{form}\t{count}"
+def report_rows(doc: Document, report: str, top_n: int = 10, upos_filter: str | None = None,
+                min_weight: int = 1) -> list[list]:
+    """The rows of a report in REPORT_COLUMNS, one list of values per row."""
+    if report == "upos":
+        return [[tag, count] for tag, count in upos_frequencies(doc)]
+    if report == "top":
+        return [
+            [tag, rank, form, count]
+            for tag, items in top_tokens_per_upos(doc, top_n).items()
             for rank, (form, count) in enumerate(items, start=1)
         ]
-    return "\n".join(lines) + "\n"
+    return [[e.lemma_a, e.lemma_b, e.weight] for e in cooccurrence(doc, upos_filter, min_weight)]
 
 
-def cooc_edges_tsv(doc: Document, upos_filter: str, min_weight: int = 1) -> str:
-    lines = ["lemma_a\tlemma_b\tweight"]
-    lines += [
-        f"{e.lemma_a}\t{e.lemma_b}\t{e.weight}"
-        for e in cooccurrence(doc, upos_filter, min_weight)
-    ]
-    return "\n".join(lines) + "\n"
+def report_tsv(doc: Document, report: str, **options) -> str:
+    """A report as TSV, its column names first; `options` go to report_rows."""
+    rows = [REPORT_COLUMNS[report], *report_rows(doc, report, **options)]
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)

@@ -110,8 +110,7 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> Document:
             misc = "SpaceAfter=No" if nxt is not None and nxt[1] == end else "_"
             tokens.append(Token(id=idx, form=form, misc=misc, char_span=(begin, end)))
         sent = Sentence(tokens=tokens)
-        sent.sent_id = str(len(doc.sentences) + 1)
-        sent._set_comment("text", sent.text())
+        sent.fill_header(len(doc.sentences) + 1)
         doc.sentences.append(sent)
         pieces.clear()
 

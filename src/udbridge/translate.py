@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DataError
-from .util import read_text
+from .util import read_text, write_atomically
 
 
 # Words in a row whose attempts all failed before a client stops calling
@@ -81,8 +81,7 @@ class LexiconCache:
             raise DataError("cache has no file path")
         with self._lock:
             lines = [f"{k}\t{self._data[k]}" for k in sorted(self._data)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        write_atomically(path, "\n".join(lines) + ("\n" if lines else ""))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -161,7 +160,11 @@ class RemoteServiceBackend(Backend):
             with err:  # a non-2xx reply: the error holds the open response
                 raise
         translation = body["translation"]
-        return None if translation is None else str(translation)
+        if translation is None:
+            return None
+        translation = str(translation)
+        translation.encode("utf-8")  # a lone surrogate raises: a failed attempt
+        return translation
 
 
 class TranslatorClient:

@@ -1,6 +1,9 @@
-"""Small shared helpers: rounding, hashing and reading text files."""
+"""Small shared helpers: rounding, hashing, and reading and writing text files."""
 
+import contextlib
 import hashlib
+import os
+import secrets
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import DataError
@@ -35,3 +38,19 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from None
+
+
+def write_atomically(path: str, text: str) -> None:
+    """Write `text` to a new file beside `path`, then rename it over
+    `path`: readers see the old file or the new one, never a torn write,
+    and a failed write leaves the old file and no temporary file behind."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

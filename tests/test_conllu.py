@@ -139,3 +139,25 @@ def test_tsv_export_one_row_per_token():
 def test_empty_input_gives_empty_document():
     assert parse_conllu("") == Document()
     assert parse_conllu("\n\n") == Document()
+
+
+COLUMN_NAMES = ["ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS", "HEAD", "DEPREL", "DEPS", "MISC"]
+
+
+@pytest.mark.parametrize("column", range(10))
+def test_an_empty_token_column_is_refused_by_name(column):
+    cols = ["2", "man", "man", "NOUN", "n", "_", "0", "root", "_", "_"]
+    cols[column] = ""
+    text = "1\tDe\tde\tDET\tlw\t_\t2\tdet\t_\t_\n" + "\t".join(cols) + "\n"
+    with pytest.raises(ConlluParseError, match=f"^line 2: empty {COLUMN_NAMES[column]} column$"):
+        parse_conllu(text)
+
+
+@pytest.mark.parametrize("column", range(10))
+def test_an_empty_range_column_is_refused_by_name(column):
+    cols = ["1-2", "oant'e", "_", "_", "_", "_", "_", "_", "_", "_"]
+    cols[column] = ""
+    text = MWT_FIXTURE.replace("1-2\toant'e\t_\t_\t_\t_\t_\t_\t_\t_", "\t".join(cols))
+    assert text != MWT_FIXTURE
+    with pytest.raises(ConlluParseError, match=f"empty {COLUMN_NAMES[column]} column$"):
+        parse_conllu(text)

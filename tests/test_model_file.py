@@ -147,3 +147,19 @@ def test_reloaded_model_annotates_like_the_trained_one(payload, tmp_path):
     loaded = PipelineModel.load(path)
     loaded.save(str(tmp_path / "again.json"))
     assert json.loads((tmp_path / "again.json").read_text(encoding="utf-8")) == payload
+
+
+@pytest.mark.parametrize("index, value", [
+    (2, -3),  # a negative strip length appended to the whole form
+    (4, "weird"),  # an unknown casing op was taken for "keep"
+    (5, -5),
+    (5, 0),
+])
+def test_lemmatizer_rule_values_are_checked(payload, tmp_path, index, value):
+    bad = json.loads(json.dumps(payload))
+    bad["lemmatizer"][0][index] = value
+    path = write(tmp_path, bad)
+    with pytest.raises(DataError, match="malformed model: lemmatizer rule"):
+        PipelineModel.load(path)
+    code, err = annotate_exit(path)
+    assert code == 2 and err.startswith("error: ")

@@ -1,4 +1,5 @@
 import os
+import socket
 import threading
 import time
 
@@ -127,3 +128,62 @@ def test_a_failure_in_the_callers_first_job_kills_the_child(two_cpus, error):
         map_jobs(job, range(2))
     assert time.monotonic() - start < 10  # killed, not waited for
     assert parallel._running is False
+
+
+def pipe_ends():
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb"), open(write_fd, "wb")
+
+
+def exit_code(pid: int) -> int:
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def test_a_fork_child_that_raises_exits_1_with_its_traceback(capfd):
+    def child(pipe):
+        pipe.write(b"partial")
+        raise DataError("the child failed")
+
+    ours, theirs = pipe_ends()
+    pid = parallel.fork(child, ours, theirs)
+    assert theirs.closed
+    with ours:
+        ours.read()  # ends once the child's end is closed
+    assert exit_code(pid) == 1
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "DataError: the child failed" in err
+
+
+def test_a_fork_child_that_returns_exits_0_with_its_writes_flushed(capfd):
+    ours, theirs = pipe_ends()
+    pid = parallel.fork(lambda pipe: pipe.write(b"done"), ours, theirs)
+    with ours:
+        assert ours.read() == b"done"  # buffered in the child until it closed the pipe
+    assert exit_code(pid) == 0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("channel", [pipe_ends, socket.socketpair])
+def test_a_failed_fork_closes_both_channel_ends(monkeypatch, channel):
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    ours, theirs = channel()
+    with pytest.raises(OSError, match="fork refused"):
+        parallel.fork(lambda end: None, ours, theirs)
+    for end in (ours, theirs):
+        assert end.closed if hasattr(end, "closed") else end.fileno() == -1
+
+
+def test_stop_kills_and_reaps_every_child():
+    pids = []
+    for _ in range(2):
+        ours, theirs = pipe_ends()
+        pids.append(parallel.fork(lambda pipe: time.sleep(30), ours, theirs))
+        ours.close()
+    start = time.monotonic()
+    parallel.stop(pids)
+    assert time.monotonic() - start < 10  # killed, not waited for
+    # the autouse fixture checks that no child is left to reap

@@ -612,3 +612,45 @@ def test_model_file_is_read_once(model_path, monkeypatch):
     assert len(opened) == 1
     with open(model_path, "rb") as fh:
         assert srv.model_hash == short_hash(fh.read())
+
+
+@pytest.mark.parametrize("path, extra", [
+    ("/annotate", {"format": "conllu"}),
+    ("/annotate", {"format": "json"}),
+    ("/stats", {"report": "top"}),
+])
+def test_a_text_with_an_unpaired_surrogate_is_400(server, path, extra):
+    # valid JSON (the surrogate is escaped), but no reply could encode it
+    payload = {"text": "De man \udc80 rint.", **extra}
+    status, _, body = request(server, "POST", path, payload)
+    assert status == 400
+    assert json.loads(body) == {"error": "text holds an unpaired surrogate"}
+    assert request(server, "GET", "/health")[0] == 200
+
+
+@pytest.mark.parametrize("report", [["top"], {"top": 1}, 3, None])
+def test_a_report_that_is_not_a_name_is_400(server, report):
+    status, _, body = request(server, "POST", "/stats", {"text": "wat", "report": report})
+    assert status == 400
+    assert json.loads(body)["error"].startswith("unknown report")
+
+
+@pytest.mark.parametrize("flags", [
+    {"report": "top", "top_n": 2},
+    {"report": "cooc", "upos_filter": "NOUN"},
+])
+def test_stats_rows_match_the_cli_report(server, flags):
+    text = "De man sjocht it hûs. It hûs stiet by de dyk. De man en de frou rinne."
+    status, _, conllu = request(server, "POST", "/annotate", {"text": text})
+    assert status == 200
+    status, _, body = request(server, "POST", "/stats", {"text": text, **flags})
+    assert status == 200
+    rows = json.loads(body)["rows"]
+    assert rows
+    argv = ["stats"]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    out = io.StringIO()
+    code = main(argv, stdin=io.StringIO(conllu.decode("utf-8")), stdout=out, stderr=io.StringIO())
+    assert code == 0
+    assert out.getvalue().splitlines()[1:] == ["\t".join(map(str, row)) for row in rows]

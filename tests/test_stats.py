@@ -5,14 +5,12 @@ from udbridge.conllu import Document, parse_conllu
 from udbridge.errors import DataError
 from udbridge.stats import (
     CoocEdge,
-    cooc_edges_tsv,
     cooccurrence,
     genre_distribution,
     genre_table_from_counts,
+    report_tsv,
     split_by_genre,
     top_tokens_per_upos,
-    top_tokens_tsv,
-    upos_freq_tsv,
     upos_frequencies,
 )
 
@@ -193,12 +191,12 @@ def test_cooccurrence_skips_missing_lemmas():
 
 
 def test_upos_freq_tsv():
-    lines = upos_freq_tsv(parse_conllu("\n".join(FREQ_ROWS) + "\n")).splitlines()
+    lines = report_tsv(parse_conllu("\n".join(FREQ_ROWS) + "\n"), "upos").splitlines()
     assert lines == ["upos\tcount", "NOUN\t3", "DET\t2", "VERB\t1"]
 
 
 def test_top_tokens_tsv_has_rank_column():
-    lines = top_tokens_tsv(parse_conllu("\n".join(FREQ_ROWS) + "\n"), n=2).splitlines()
+    lines = report_tsv(parse_conllu("\n".join(FREQ_ROWS) + "\n"), "top", top_n=2).splitlines()
     assert lines[0] == "upos\trank\tform\tcount"
     assert "NOUN\t1\thûs\t2" in lines
     assert "NOUN\t2\tman\t1" in lines
@@ -207,7 +205,7 @@ def test_top_tokens_tsv_has_rank_column():
 
 
 def test_cooc_edges_tsv():
-    lines = cooc_edges_tsv(cooc_doc(), "NOUN", min_weight=1).splitlines()
+    lines = report_tsv(cooc_doc(), "cooc", upos_filter="NOUN", min_weight=1).splitlines()
     assert lines[0] == "lemma_a\tlemma_b\tweight"
     assert lines[1] == "a\tb\t3"
     assert len(lines) == 4

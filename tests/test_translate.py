@@ -1,6 +1,8 @@
 """Pivot translation: backends, quoting convention, cache, fallback."""
 
+import io
 import json
+import os
 import logging
 import socket
 import threading
@@ -9,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from udbridge.cli import main
 from udbridge.errors import DataError
 from udbridge.translate import (
     IdentityBackend,
@@ -324,3 +327,38 @@ def test_quoting_enum_chars():
 def test_negative_retries_are_rejected():
     with pytest.raises(DataError, match="max_retries"):
         TranslatorClient(IdentityBackend(), max_retries=-1)
+
+
+def test_a_reply_utf8_cannot_encode_falls_back_and_keeps_the_cache(tmp_path):
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("hûs\thuis\n", encoding="utf-8")
+    stub = EchoStub()  # echoes the lone surrogate back as the translation
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        argv = ["translate", "--backend", "remote", "--endpoint", stub.endpoint, "--cache", str(cache)]
+        code = main(argv, stdin=io.StringIO("hûs \udc80\n"), stdout=out, stderr=err)
+    finally:
+        stub.close()
+    assert code == 0
+    assert len(stub.bodies) == 3  # every attempt failed, then the word fell back
+    assert out.getvalue() == "huis \udc80\n"
+    assert err.getvalue() == "fallbacks: 1\n"
+    assert cache.read_text(encoding="utf-8") == "hûs\thuis\n"
+
+
+def test_a_cache_that_cannot_be_saved_keeps_its_old_file(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("hûs\thuis\n", encoding="utf-8")
+    cache = LexiconCache(str(path))
+    cache.store("man", "\udc80")
+    with pytest.raises(UnicodeEncodeError):
+        cache.save()
+    assert path.read_text(encoding="utf-8") == "hûs\thuis\n"
+    assert os.listdir(tmp_path) == ["cache.tsv"]
+
+
+def test_output_utf8_cannot_encode_is_exit_2():
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    assert main(["translate"], stdin=io.StringIO("\udc80\n"), stdout=stdout, stderr=err) == 2
+    assert err.getvalue().startswith("error: ") and "surrogate" in err.getvalue()

@@ -1,8 +1,9 @@
 import hashlib
+import os
 
 import pytest
 
-from udbridge.util import percentage, round_half_up, short_hash
+from udbridge.util import percentage, round_half_up, short_hash, write_atomically
 
 
 def test_round_half_up_ties_away_from_zero():
@@ -36,3 +37,14 @@ def test_short_hash():
     assert len(short_hash(data, length=8)) == 8
     assert short_hash(data) == short_hash(data)
     assert short_hash(b"other") != short_hash(data)
+
+
+def test_write_atomically_replaces_the_file_or_leaves_it_whole(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_text("old\n", encoding="utf-8")
+    write_atomically(str(path), "new hûs\n")
+    assert path.read_text(encoding="utf-8") == "new hûs\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_atomically(str(path), "half \udc80\n")
+    assert path.read_text(encoding="utf-8") == "new hûs\n"
+    assert os.listdir(tmp_path) == ["out.tsv"]  # no temporary file left
