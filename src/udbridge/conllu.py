@@ -232,6 +232,20 @@ def parse_feats(text: str, line_no: int | None = None) -> dict[str, str]:
     return feats
 
 
+def fits_column(column: str, value: str) -> bool:
+    """Whether `value` in the column named `column` reads back as itself: it is
+    non-empty without tab or line break (files are read with universal newlines,
+    so "\\r" ends a line), a UD tag in UPOS and well-formed in FEATS. "_" is unset."""
+    if not value or "\t" in value or "\n" in value or "\r" in value:
+        return False
+    if column == "FEATS":
+        try:
+            parse_feats(value)
+        except (ConlluParseError, ValidationError):
+            return False
+    return column != "UPOS" or value in UPOS_TAGS
+
+
 def _opt(column: str) -> str | None:
     return None if column == "_" else column
 
@@ -307,7 +321,7 @@ def parse_conllu(text: str) -> Document:
             continue
         if not tok_id.isdigit():
             raise ConlluParseError(f"malformed token id {tok_id!r}", line_no)
-        if upos != "_" and upos not in UPOS_TAGS:
+        if upos != "_" and not fits_column("UPOS", upos):
             raise ValidationError(f"unknown UPOS tag {upos!r}", line_no)
         if head != "_" and not head.isdigit():
             raise ConlluParseError(f"malformed HEAD {head!r}", line_no)

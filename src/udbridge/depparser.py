@@ -217,8 +217,10 @@ def oracle_move(state: _State, heads: list[int], deprels: list[str], n_children:
 
 
 def check_moves(classes: list[str], root_label: str) -> None:
-    """Parser classes must be shift, left:<label> or right:<label>, and
-    labels, the root label among them, non-empty without whitespace."""
+    """Parser classes must be shift and arc moves, left:<label> or right:<label>,
+    and labels, the root label among them, non-empty without whitespace."""
+    if SHIFT not in classes or len(classes) < 2:
+        raise DataError("parser classes need 'shift' and an arc move")
     for move in classes:
         kind, _, label = move.partition(":")
         if move != SHIFT and (kind not in ("left", "right") or not _LABEL.fullmatch(label)):
@@ -250,7 +252,6 @@ class ParserModel:
     root_label: str = "root"
 
     def __post_init__(self):
-        check_moves(self.classes, self.root_label)
         # The moves scored (sorted, with "shift"), the weights frozen over
         # them, and the candidate index lists for _open_moves; never saved.
         self._moves = sorted(set(self.classes) | {SHIFT})

@@ -24,12 +24,12 @@ class EditScript:
     casing_op: str = "keep"
 
     def apply(self, form: str) -> str | None:
-        """None when the script does not fit the form."""
+        """None when the script does not fit the form or would empty it."""
         base = _recase(form, self.casing_op)
         if self.strip_suffix_len > len(base):
             return None
         stem = base[: len(base) - self.strip_suffix_len] if self.strip_suffix_len else base
-        return stem + self.append_suffix
+        return stem + self.append_suffix or None
 
 
 def _recase(form: str, casing_op: str) -> str:

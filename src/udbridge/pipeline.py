@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .conllu import Document, Token, parse_feats, serialize_conllu
-from .depparser import SHIFT, ParserModel, train_parser
+from .conllu import Document, Token, fits_column, parse_feats, serialize_conllu
+from .depparser import ParserModel, check_moves, train_parser
 from .errors import DataError
 from .lemmatizer import CASING_OPS, EditScript, LemmaRules, train_lemmatizer
 from .parallel import map_jobs
@@ -151,25 +151,23 @@ class PipelineModel:
         tagger_classes = _field(tagger, "classes", dict, "tagger")
         tagger_weights = _field(tagger, "weights", dict, "tagger")
         for attr in ATTRIBUTES:
-            _classes(tagger_classes, attr, "tagger classes")
+            for label in _classes(tagger_classes, attr, "tagger classes"):
+                if not fits_column(attr.upper(), label):
+                    raise DataError(f"tagger {attr} class {label!r} is not a valid column value")
             _field(tagger_weights, attr, dict, "tagger weights")
-        for label in tagger_classes["feats"]:
-            try:
-                parse_feats(label)
-            except DataError as err:
-                raise DataError(f"tagger feats class {label!r}: {err}") from None
         parser = _field(payload, "parser", dict)
         parser_classes = _classes(parser, "classes", "parser")
-        if SHIFT not in parser_classes or len(parser_classes) < 2:
-            raise DataError("parser classes need 'shift' and an arc move")
+        root_label = _field(parser, "root_label", str, "parser")
+        check_moves(parser_classes, root_label)
         rules = LemmaRules()
         for rule in _field(payload, "lemmatizer", list):
             if type(rule) is not list or list(map(type, rule)) != _RULE_TYPES:
                 raise DataError(f"lemmatizer rule {rule!r} is not [str, str, int, str, str, int]")
             suffix, upos, strip, append, casing, freq = rule
-            if strip < 0 or casing not in CASING_OPS or freq < 1:
-                raise DataError(f"lemmatizer rule {rule!r} needs a strip length >= 0,"
-                                f" a casing op in {CASING_OPS} and a frequency >= 1")
+            if (strip < 0 or casing not in CASING_OPS or freq < 1
+                    or append and not fits_column("LEMMA", append)):
+                raise DataError(f"lemmatizer rule {rule!r} needs a strip length >= 0, an append"
+                                f" a LEMMA can hold, a casing op in {CASING_OPS} and a frequency >= 1")
             rules.rules.setdefault((suffix, upos), {})[EditScript(strip, append, casing)] = freq
         return cls(
             tagger=TaggerModel(weights=tagger_weights, classes=tagger_classes),
@@ -178,7 +176,7 @@ class PipelineModel:
                 weights=_field(parser, "weights", dict, "parser"),
                 classes=parser_classes,
                 labels=_strings(parser, "labels", "parser"),
-                root_label=_field(parser, "root_label", str, "parser"),
+                root_label=root_label,
             ),
             tokenizer_cfg=TokenizerConfig(
                 abbreviations=set(_strings(tok, "abbreviations", "tokenizer")),

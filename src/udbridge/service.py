@@ -27,16 +27,18 @@ import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from math import comb
 
 from .conllu import Document, parse_conllu, serialize_conllu, serialize_tsv
 from .errors import DataError, UdbridgeError
 from .parallel import can_fork, fork, stop
 from .pipeline import EvalSetting, PipelineModel, annotate, read_model_file
-from .stats import REPORT_COLUMNS, report_rows
+from .stats import REPORT_COLUMNS, lemma_sets, report_rows
 from .util import read_text, short_hash
 
 BIND_ENV_VAR = "UDBRIDGE_BIND"
 FORMATS = ("conllu", "tsv", "json")
+MAX_COOC_PAIRS = 200_000  # lemma pairs a /stats cooc request may count: ~1 s of work
 
 # config file keys -> ServiceConfig fields
 _CONFIG_KEYS = {
@@ -317,6 +319,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(400, "min_weight must be a positive integer")
         with self.server.worker_slots:
             doc = annotate(text, self.server.model, EvalSetting.RAW_TEXT)
+        if report == "cooc" and sum(comb(len(s), 2) for s in lemma_sets(doc, upos_filter)) > MAX_COOC_PAIRS:
+            raise _HttpError(413, f"report 'cooc' would count over {MAX_COOC_PAIRS} lemma pairs")
         rows = report_rows(doc, report, top_n, upos_filter, min_weight)
         self._send_json(200, {"report": report, "rows": rows})
 

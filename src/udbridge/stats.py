@@ -5,6 +5,7 @@ Counting conventions: tokens = all surface tokens; words = tokens that are
 not PUNCT. Genre percentages are integers rounded half away from zero.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -105,10 +106,7 @@ def split_by_genre(doc: Document, default: str = "all") -> list[tuple[str, Docum
 def upos_frequencies(doc: Document) -> list[tuple[str, int]]:
     """Tag counts, most frequent first, ties alphabetical. Untagged tokens
     are skipped."""
-    counts: dict[str, int] = {}
-    for tok in doc.tokens():
-        if tok.upos is not None:
-            counts[tok.upos] = counts.get(tok.upos, 0) + 1
+    counts = Counter(tok.upos for tok in doc.tokens() if tok.upos is not None)
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -116,12 +114,10 @@ def top_tokens_per_upos(doc: Document, n: int = 10) -> dict[str, list[tuple[str,
     """The n most frequent forms for every tag, same ordering rule."""
     if n < 1:
         raise DataError("n must be >= 1")
-    per_tag: dict[str, dict[str, int]] = {}
+    per_tag: dict[str, Counter] = {}
     for tok in doc.tokens():
-        if tok.upos is None:
-            continue
-        bucket = per_tag.setdefault(tok.upos, {})
-        bucket[tok.form] = bucket.get(tok.form, 0) + 1
+        if tok.upos is not None:
+            per_tag.setdefault(tok.upos, Counter())[tok.form] += 1
     return {
         tag: sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
         for tag, bucket in sorted(per_tag.items())
@@ -135,6 +131,12 @@ class CoocEdge:
     weight: int
 
 
+def lemma_sets(doc: Document, upos: str) -> list[set[str]]:
+    """Per sentence, the lemmas of its tokens tagged `upos`."""
+    return [{t.lemma for t in s.tokens if t.upos == upos and t.lemma is not None}
+            for s in doc.sentences]
+
+
 def cooccurrence(doc: Document, upos_filter: str, min_weight: int = 1) -> list[CoocEdge]:
     """Sentence-level co-occurrence of lemmas with the given tag.
 
@@ -144,16 +146,11 @@ def cooccurrence(doc: Document, upos_filter: str, min_weight: int = 1) -> list[C
     """
     if min_weight < 1:
         raise DataError("min_weight must be >= 1")
-    weights: dict[tuple[str, str], int] = {}
-    for sent in doc.sentences:
-        lemmas = sorted(
-            {t.lemma for t in sent.tokens if t.upos == upos_filter and t.lemma is not None}
-        )
+    weights: Counter = Counter()
+    for lemmas in map(sorted, lemma_sets(doc, upos_filter)):
         for a, b in combinations(lemmas, 2):
-            weights[(a, b)] = weights.get((a, b), 0) + 1
-    edges = [
-        CoocEdge(a, b, w) for (a, b), w in weights.items() if w >= min_weight
-    ]
+            weights[(a, b)] += 1
+    edges = [CoocEdge(a, b, w) for (a, b), w in weights.items() if w >= min_weight]
     edges.sort(key=lambda e: (-e.weight, e.lemma_a, e.lemma_b))
     return edges
 

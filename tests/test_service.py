@@ -2,6 +2,7 @@ import builtins
 import http.client
 import io
 import json
+import random
 import socket
 import threading
 import time
@@ -13,15 +14,17 @@ from udbridge import service
 from udbridge.cli import main
 from udbridge.conllu import parse_conllu
 from udbridge.errors import DataError
-from udbridge.pipeline import train_pipeline
+from udbridge.pipeline import EvalSetting, PipelineModel, annotate, train_pipeline
 from udbridge.service import (
     BIND_ENV_VAR,
+    MAX_COOC_PAIRS,
     ServiceConfig,
     build_config,
     document_to_object,
     make_server,
     read_config_file,
 )
+from udbridge.stats import lemma_sets
 from udbridge.util import short_hash
 
 
@@ -654,3 +657,37 @@ def test_stats_rows_match_the_cli_report(server, flags):
     code = main(argv, stdin=io.StringIO(conllu.decode("utf-8")), stdout=out, stderr=io.StringIO())
     assert code == 0
     assert out.getvalue().splitlines()[1:] == ["\t".join(map(str, row)) for row in rows]
+
+
+def test_a_cooc_report_too_costly_to_count_is_413(model_path):
+    # One ~30 kB sentence of random words. Under its most used tag it holds
+    # over a million lemma pairs: counting them all would take the worker
+    # slot for many seconds and hundreds of MB; the count comes first.
+    rng = random.Random(5)
+    text = " ".join("".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                            for _ in range(rng.randint(3, 8))) for _ in range(5000))
+    doc = annotate(text, PipelineModel.load(model_path), EvalSetting.RAW_TEXT)
+    assert len(doc.sentences) == 1
+
+    def pairs(tag):
+        k = len(lemma_sets(doc, tag)[0])
+        return k * (k - 1) // 2
+
+    tag = max({tok.upos for tok in doc.tokens()}, key=pairs)
+    assert pairs(tag) > 5 * MAX_COOC_PAIRS
+    srv = make_server(ServiceConfig(bind="127.0.0.1:0", model_path=model_path))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        start = time.monotonic()
+        status, _, body = request(srv, "POST", "/stats",
+                                  {"text": text, "report": "cooc", "upos_filter": tag})
+        assert time.monotonic() - start < 5
+        assert status == 413
+        assert json.loads(body) == {
+            "error": f"report 'cooc' would count over {MAX_COOC_PAIRS} lemma pairs"}
+        assert request(srv, "GET", "/health")[0] == 200
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
