@@ -1,10 +1,12 @@
 """Word alignment: IBM-1 style EM with a diagonal position prior.
 
-Each target token is generated by one source token or by a null word. The
-prior over source positions puts mass null_prob on null and spreads the
-rest proportionally to exp(-lambda * |i/n_src - j/n_tgt|); lambda_=0 gives
-the classic uniform Model 1. Only the translation table is re-estimated,
-so the data log-likelihood is non-decreasing over EM iterations.
+Each target token is generated by one source token or by the null word,
+which is source position 0 of every pair (Brown et al. 1993), so a source
+token spelled NULL_TOKEN is refused. The prior over source positions puts
+mass null_prob on null and spreads the rest proportionally to
+exp(-lambda * |i/n_src - j/n_tgt|); lambda_=0 gives the classic uniform
+Model 1. Only the translation table is re-estimated, so the data
+log-likelihood is non-decreasing over EM iterations.
 
 Viterbi decoding links every target token to its best source position
 unless null scores at least as high (unknown words fall to a floor
@@ -31,6 +33,8 @@ class SentencePair:
     def __post_init__(self):
         if not self.source or not self.target:
             raise DataError("sentence pair with an empty side")
+        if NULL_TOKEN in self.source:
+            raise DataError(f"source token {NULL_TOKEN!r} is the name of the null word")
 
 
 @dataclass
@@ -84,13 +88,14 @@ class TranslationTable:
     def loads(cls, text: str) -> "TranslationTable":
         """Read dumps() output. The settings come from the first-line
         header; a setting it leaves out, or a missing header, gets its
-        default."""
+        default. Only line 1 is a header: a later line that starts with
+        "#" is a row, such as one of the source word "#tag"."""
         table = cls()
         lines = text.splitlines()
         if lines and lines[0].startswith("#"):
             table.config = _read_header(lines[0])
         for line_no, line in enumerate(lines, start=1):
-            if not line or line.startswith("#"):
+            if not line or (line_no == 1 and line.startswith("#")):
                 continue
             try:
                 src, tgt, prob = line.split("\t")
@@ -141,14 +146,10 @@ def _read_header(line: str) -> AlignerConfig:
 
 
 def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list[float]:
-    """Prior over real source positions for target position j; sums to
-    1 - null_prob."""
-    if cfg.lambda_ == 0.0:
-        weights = [1.0] * n_src
-    else:
-        weights = [
-            math.exp(-cfg.lambda_ * abs(i / n_src - j / n_tgt)) for i in range(n_src)
-        ]
+    """Prior over the source positions of target position j, null first:
+    null_prob, then the real positions, which share 1 - null_prob. With
+    lambda_=0 every weight is exp(-0.0) == 1.0, uniform Model 1."""
+    weights = [math.exp(-cfg.lambda_ * abs(i / n_src - j / n_tgt)) for i in range(n_src)]
     # left to right, not sum(): from Python 3.12 sum() rounds differently,
     # and the translation table must not depend on the version
     z = functools.reduce(operator.add, weights, 0.0)
@@ -160,7 +161,7 @@ def _position_priors(n_src: int, n_tgt: int, j: int, cfg: AlignerConfig) -> list
             f"lambda={cfg.lambda_!r} leaves target position {j + 1} of a"
             f" {n_src} x {n_tgt} sentence pair no prior mass; use a smaller lambda"
         )
-    return [w * scale for w in weights]
+    return [cfg.null_prob] + [w * scale for w in weights]
 
 
 def _priors_by_position(cache: dict, n_src: int, n_tgt: int, cfg: AlignerConfig) -> list[list[float]]:
@@ -182,23 +183,28 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
     The (source, target) cells are fixed by the co-occurrence pass, so they
     are numbered once, each target position is planned once as a list of
     cell ids, and every iteration runs on flat float lists. Each cell gets
-    its float additions in visiting order (pair, target position, null,
-    then source position), so the table bytes do not depend on this
-    layout."""
+    its float additions in visiting order (pair, target position, then
+    source position, the null word at 0), so the table bytes do not depend
+    on this layout. Under null_prob=0 the null word's terms are 0.0: they
+    add nothing to a sum, and its row, with a total of 0, is dropped."""
     if cfg is None:
         cfg = AlignerConfig()
     if not bitext:
         raise DataError("empty bitext")
 
-    use_null = cfg.null_prob > 0.0
     # cells[src][tgt] is the id of a co-occurring cell, source_ids[src] the
-    # id of a source word and cell_source[cell] that of the cell's source
+    # id of a source word and cell_source[cell] that of the cell's source.
+    # The plan holds, per pair, the pair (for errors), its source ids and,
+    # per target position, the priors (the lists _priors_by_position
+    # caches) and the cells, the null word first.
     cells: dict[str, dict[str, int]] = {}
     source_ids: dict[str, int] = {}
     cell_source: list[int] = []
+    pair_priors: dict = {}
+    plan = []
     for pair in bitext:
-        sources = list(pair.source) + ([NULL_TOKEN] if use_null else [])
-        for src in sources:
+        rows, srcs = [], []
+        for src in [NULL_TOKEN] + pair.source:
             row = cells.get(src)
             if row is None:
                 row = cells[src] = {}
@@ -208,29 +214,20 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
                 if tgt not in row:
                     row[tgt] = len(cell_source)
                     cell_source.append(source_id)
+            rows.append(row)
+            srcs.append(source_id)
+        by_position = _priors_by_position(
+            pair_priors, len(pair.source), len(pair.target), cfg
+        )
+        positions = [
+            (priors, [row[tgt] for row in rows])
+            for tgt, priors in zip(pair.target, by_position)
+        ]
+        plan.append((pair, srcs, positions))
     # Uniform init over each source word's co-occurring target words.
     row_sizes = [len(row) for row in cells.values()]
     p = [1.0 / row_sizes[source_id] for source_id in cell_source]
 
-    # Per pair: the pair (for errors), its source ids and, per target
-    # position, the null cell, the priors (the lists _priors_by_position
-    # caches) and the source cells.
-    pair_priors: dict = {}
-    null_row = cells.get(NULL_TOKEN, {})
-    null_source = source_ids.get(NULL_TOKEN)
-    plan = []
-    for pair in bitext:
-        by_position = _priors_by_position(
-            pair_priors, len(pair.source), len(pair.target), cfg
-        )
-        rows = [cells[src] for src in pair.source]
-        positions = [
-            (null_row.get(tgt), priors, [row[tgt] for row in rows])
-            for tgt, priors in zip(pair.target, by_position)
-        ]
-        plan.append((pair, [source_ids[src] for src in pair.source], positions))
-
-    null_prob = cfg.null_prob
     ll_history: list[float] = []
     for _ in range(cfg.iterations):
         counts = [0.0] * len(cell_source)
@@ -238,14 +235,10 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
         p_of = p.__getitem__
         ll = 0.0
         for pair, srcs, positions in plan:
-            for null_cell, priors, cell_ids in positions:
+            for priors, cell_ids in positions:
                 terms = list(map(operator.mul, priors, map(p_of, cell_ids)))
-                # left-to-right additions, as in _position_priors, null first
-                if use_null:
-                    null_w = null_prob * p[null_cell]
-                    z = functools.reduce(operator.add, terms, null_w)
-                else:
-                    z = functools.reduce(operator.add, terms)
+                # left-to-right additions, as in _position_priors
+                z = functools.reduce(operator.add, terms)
                 if z == 0.0:
                     raise DataError(
                         f"a {len(pair.source)} x {len(pair.target)} sentence pair"
@@ -253,10 +246,6 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
                         f" source word (lambda={cfg.lambda_!r}); use a smaller lambda"
                     )
                 ll += math.log(z)
-                if use_null:
-                    gamma = null_w / z
-                    counts[null_cell] += gamma
-                    totals[null_source] += gamma
                 for cell, src, w in zip(cell_ids, srcs, terms):
                     gamma = w / z
                     counts[cell] += gamma
@@ -285,15 +274,14 @@ def train_aligner(bitext: list[SentencePair], cfg: AlignerConfig | None = None) 
 def viterbi_align(table: TranslationTable, pair: SentencePair) -> list[AlignmentLink]:
     """Best link per target token; None (no link) when null wins or ties."""
     cfg = table.config
-    use_null = cfg.null_prob > 0.0
     links: list[AlignmentLink] = []
     by_position = _priors_by_position(table._priors, len(pair.source), len(pair.target), cfg)
     for j, tgt_word in enumerate(pair.target):
         priors = by_position[j]
-        best_score = cfg.null_prob * table.prob(NULL_TOKEN, tgt_word) if use_null else 0.0
+        best_score = priors[0] * table.prob(NULL_TOKEN, tgt_word)
         best_i: int | None = None
         for i, src_word in enumerate(pair.source):
-            score = priors[i] * table.prob(src_word, tgt_word)
+            score = priors[i + 1] * table.prob(src_word, tgt_word)
             if score > best_score:
                 best_score = score
                 best_i = i
@@ -323,11 +311,10 @@ def read_bitext(text: str) -> list[SentencePair]:
         if " ||| " not in line:
             raise DataError(f"bitext line {line_no}: missing ' ||| ' separator")
         left, _, right = line.partition(" ||| ")
-        source = left.split()
-        target = right.split()
-        if not source or not target:
-            raise DataError(f"bitext line {line_no}: empty side")
-        pairs.append(SentencePair(source=source, target=target))
+        try:
+            pairs.append(SentencePair(source=left.split(), target=right.split()))
+        except DataError as err:
+            raise DataError(f"bitext line {line_no}: {err}") from None
     return pairs
 
 

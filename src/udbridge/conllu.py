@@ -286,6 +286,9 @@ def parse_conllu(text: str) -> Document:
         if line.strip() == "":
             flush(line_no)
             continue
+        # a file is read with universal newlines, where "\r" ends a line
+        if "\r" in line:
+            raise ConlluParseError("carriage return inside the line", line_no)
         if not sent_tokens and not sent_comments and not sent_ranges:
             first_line = line_no
         if line.startswith("#"):

@@ -33,8 +33,9 @@ from .perceptron import AveragedPerceptron, Rows, compile_rows
 SHIFT = "shift"
 _NONE = "<none>"
 _ROOT = "<root>"
-# an arc label: non-empty, no whitespace
-_LABEL = re.compile(r"\S+")
+# an arc label: non-empty, no whitespace, and not "_", which CoNLL-U reads
+# as an unset DEPREL
+_LABEL = re.compile(r"(?!_\Z)\S+")
 
 
 def validate_tree(sent: Sentence) -> None:
@@ -96,9 +97,11 @@ class _State:
     deprels: list[str] = field(init=False)
     # children attached so far per node, for the oracle
     n_attached: list[int] = field(init=False)
-    # leftmost / rightmost attached child label per node, for features
-    lc: dict[int, tuple[int, str]] = field(default_factory=dict)
-    rc: dict[int, tuple[int, str]] = field(default_factory=dict)
+    # the label of each node's leftmost / rightmost child, for features:
+    # arc-standard attaches a head's new left child left of the ones before
+    # it, and its new right child right of them
+    lc: dict[int, str] = field(default_factory=dict)
+    rc: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.heads = [0] * (self.n + 1)
@@ -115,10 +118,7 @@ class _State:
         self.heads[dep] = head
         self.deprels[dep] = label
         self.n_attached[head] += 1
-        if dep < head and (head not in self.lc or dep < self.lc[head][0]):
-            self.lc[head] = (dep, label)
-        if dep > head and (head not in self.rc or dep > self.rc[head][0]):
-            self.rc[head] = (dep, label)
+        (self.lc if dep < head else self.rc)[head] = label
 
     def apply(self, move: str, root_label: str) -> None:
         if move == SHIFT:
@@ -194,10 +194,10 @@ def _node_feats(state: _State, forms: list[str], tags: list[str]) -> list[str]:
         "s0b0t=" + s0t + "+" + b0t,
         "s1b0t=" + s1t + "+" + b0t,
         "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t,
-        "s0lc=" + (lc[s0][1] if s0 in lc else _NONE),
-        "s0rc=" + (rc[s0][1] if s0 in rc else _NONE),
-        "s1lc=" + (lc[s1][1] if s1 in lc else _NONE),
-        "s1rc=" + (rc[s1][1] if s1 in rc else _NONE),
+        "s0lc=" + lc.get(s0, _NONE),
+        "s0rc=" + rc.get(s0, _NONE),
+        "s1lc=" + lc.get(s1, _NONE),
+        "s1rc=" + rc.get(s1, _NONE),
     ]
     if depth > 2:
         f.append("dist=" + str(min(s0 - s1, 5)))
@@ -350,10 +350,10 @@ class ParserModel:
                     triple[0],
                     get("s0s1w=" + pforms[s0] + "+" + pforms[s1], ()),
                     triple[1],
-                    label_rows[lc[s0][1] if s0 in lc else _NONE][0],
-                    label_rows[rc[s0][1] if s0 in rc else _NONE][1],
-                    label_rows[lc[s1][1] if s1 in lc else _NONE][2],
-                    label_rows[rc[s1][1] if s1 in rc else _NONE][3],
+                    label_rows[lc.get(s0, _NONE)][0],
+                    label_rows[rc.get(s0, _NONE)][1],
+                    label_rows[lc.get(s1, _NONE)][2],
+                    label_rows[rc.get(s1, _NONE)][3],
                     dist_rows[min(s0 - s1, 5)],
                 ):
                     for i, w in pairs:

@@ -250,3 +250,64 @@ def test_em_rejects_a_target_word_no_source_can_generate(monkeypatch):
     monkeypatch.setattr(aligner, "_priors_by_position", zero_priors)
     with pytest.raises(DataError, match="a 2 x 1 sentence pair has a target word"):
         train_aligner([SentencePair(["a", "b"], ["x"])], AlignerConfig(null_prob=0.0))
+
+
+def test_table_bytes_without_null_or_prior_are_golden():
+    # uniform Model 1 with no null mass: the null word's terms are all 0.0
+    table = train_aligner(golden_bitext(), AlignerConfig(lambda_=0.0, null_prob=0.0))
+    digest = "fa407226260fc2bb6543a6cea577636fbde06c0864addca2df9d77b2d225c35a"
+    assert hashlib.sha256(table.dumps().encode()).hexdigest() == digest
+    assert repr(table.log_likelihood) == repr(
+        [-961.8192682734717, -804.3971515566345, -689.2952831113905,
+         -617.255844644228, -584.7810669349495]
+    )
+    assert NULL_TOKEN not in table.t
+
+
+# sha256 of the Viterbi links of golden_bitext() and of its first ten pairs
+# with the source side as target, words the table never saw as targets:
+# their floor probabilities go to null under enough null mass
+@pytest.mark.parametrize(
+    "settings,digest,n_links",
+    [
+        ({}, "96e7cf803f4a073f1bd88a1b12056ac5c8dfcaac5c2c397df58f773635f17e2e", 385),
+        ({"null_prob": 0.0}, "96e7cf803f4a073f1bd88a1b12056ac5c8dfcaac5c2c397df58f773635f17e2e", 385),
+        ({"lambda_": 0.0}, "5360d379d21257125362987b332369603994f22675d61e99b9e2155605f441a1", 385),
+        ({"iterations": 1}, "96e7cf803f4a073f1bd88a1b12056ac5c8dfcaac5c2c397df58f773635f17e2e", 385),
+        ({"lambda_": 0.0, "null_prob": 0.0},
+         "8ea0574d7cd92fd7ca52d2db34ceb6cb05ced8de3ec7fd2cb00ed84738c580cd", 385),
+        ({"null_prob": 0.9}, "7887dc99179a2222d585e3319116911666d30b2d58559f8adc4104d42de5265c", 200),
+    ],
+)
+def test_viterbi_links_are_golden(settings, digest, n_links):
+    pairs = golden_bitext()
+    table = train_aligner(pairs, AlignerConfig(**settings))
+    pairs += [SentencePair(p.source, list(p.source)) for p in pairs[:10]]
+    links = [viterbi_align(table, pair) for pair in pairs]
+    assert sum(map(len, links)) == n_links
+    text = "".join(format_links(pair_links) + "\n" for pair_links in links)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_a_source_token_named_like_the_null_word_is_refused():
+    # the null word is source position 0 of every pair, so a source token
+    # of the same name would share its row
+    with pytest.raises(DataError, match="source token '<null>' is the name of the null word"):
+        SentencePair(["a", NULL_TOKEN], ["x", "y"])
+    with pytest.raises(DataError, match=r"^bitext line 2: source token '<null>'"):
+        read_bitext("a ||| x\n<null> b ||| y z\n")
+    with pytest.raises(DataError, match=r"^bitext line 1: sentence pair with an empty side"):
+        read_bitext(" ||| x\n")
+    # a target token of that name is an ordinary word
+    table = train_aligner([SentencePair(["a"], [NULL_TOKEN])], AlignerConfig(iterations=1))
+    assert table.t["a"] == {NULL_TOKEN: 1.0}
+
+
+def test_loads_keeps_a_source_word_that_starts_with_a_hash():
+    # only line 1 is a header; "#tag" used to be dropped as a comment
+    table = train_aligner(
+        [SentencePair(["#tag", "a"], ["x", "y"]), SentencePair(["a"], ["x"])],
+        AlignerConfig(iterations=2),
+    )
+    loaded = TranslationTable.loads(table.dumps())
+    assert loaded.t == table.t and "#tag" in loaded.t

@@ -295,6 +295,14 @@ def test_align_rejects_bad_bitext():
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("null_prob", ["0", "0.08"])
+def test_align_refuses_a_source_token_named_like_the_null_word(null_prob):
+    bitext = "<null> a ||| x y\na ||| w\nb <null> ||| z x\n"
+    code, out, err = run(["align", "--null-prob", null_prob], bitext)
+    assert (code, out) == (2, "")
+    assert err == "error: bitext line 1: source token '<null>' is the name of the null word\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_align_rejects_a_lambda_that_is_not_finite(value):
     code, out, err = run(["align", "--lambda", value], "a b c ||| x y\n")

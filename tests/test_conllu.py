@@ -109,6 +109,18 @@ def test_diagnostics_carry_line_numbers():
     assert "line 5" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("lines", [
+    ["1\ta\rb\t_\tX\t_\t_\t0\troot\t_\t_"],
+    ["# text = a\rb", "1\tab\t_\tX\t_\t_\t0\troot\t_\t_"],
+])
+def test_a_carriage_return_inside_a_line_is_refused(lines):
+    # read from a file with universal newlines, "\r" would end the line
+    text = "\n".join(["# sent_id = s1", *lines]) + "\n\n"
+    with pytest.raises(ConlluParseError, match="^line 2: carriage return inside the line$"):
+        parse_conllu(text)
+    # a trailing "\r", as in a CRLF file, is stripped
+    assert parse_conllu(text.replace("a\rb", "ab").replace("\n", "\r\n"))
+
 def test_round_trip_identity_on_random_documents():
     rng = random.Random(411)
     for case in range(200):

@@ -344,6 +344,14 @@ def test_train_parser_input_validation():
             train_parser(odd, epochs=1)
 
 
+def test_train_parser_refuses_an_unset_deprel():
+    # parse_conllu reads "_" as no DEPREL, so no parser move may carry it
+    odd = make_corpus(4, seed=1)
+    odd.sentences[1].tokens[0].deprel = "_"
+    with pytest.raises(DataError, match="synth-2: token 1 has DEPREL '_'"):
+        train_parser(odd, epochs=1)
+
+
 def test_synth_templates_are_projective():
     for sent in make_corpus(40, seed=2).sentences:
         heads = [0] + [t.head for t in sent.tokens]

@@ -3,6 +3,7 @@ written to, and what udbridge writes as CoNLL-U reads back equal."""
 
 import io
 import json
+import re
 
 import pytest
 from synth import corpus_text, make_bitext, make_corpus, pivot_lexicon, strip_annotations
@@ -134,6 +135,24 @@ def test_parser_classes_need_shift_and_an_arc_move(payload):
         bad["parser"]["classes"] = classes
         with pytest.raises(DataError, match="malformed model: parser classes need 'shift'"):
             PipelineModel.from_bytes(json.dumps(bad).encode("utf-8"), "bad.json")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("root_label", "_", "parser root_label '_' is empty or has whitespace"),
+    ("classes", "left:_", "parser class 'left:_' is not shift, left:<label> or right:<label>"),
+])
+def test_a_parser_label_that_reads_back_as_unset_is_refused(payload, tmp_path, key, value,
+                                                             message):
+    # Each used to load, and annotate wrote a "_" DEPREL that CoNLL-U reads
+    # as unset.
+    bad = json.loads(json.dumps(payload))
+    if key == "classes":
+        value = sorted(bad["parser"]["classes"] + [value])
+    bad["parser"][key] = value
+    with pytest.raises(DataError, match=f"malformed model: {re.escape(message)}"):
+        PipelineModel.from_bytes(json.dumps(bad).encode("utf-8"), "bad.json")
+    code, out, err = annotate_exit(bad, tmp_path)
+    assert (code, out) == (2, "") and "malformed model" in err
 
 
 # ------------------------------------------------------------ empty lemmas

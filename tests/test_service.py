@@ -229,6 +229,17 @@ def test_annotate_goldtok_setting(server):
     assert all(t.upos is not None for t in doc.sentences[0].tokens)
 
 
+def test_a_goldtok_body_with_a_carriage_return_in_a_column_is_400(server):
+    # annotated and written back, the FORM would split its line in a file
+    status, _, body = request(
+        server, "POST", "/annotate",
+        {"text": "1\ta\rb\t_\tX\t_\t_\t0\troot\t_\t_\n", "setting": "goldtok"},
+    )
+    assert status == 400
+    assert json.loads(body) == {"error": "line 1: carriage return inside the line"}
+    assert request(server, "GET", "/health")[0] == 200
+
+
 def test_annotate_error_statuses(server):
     cases = [
         ({"text": ""}, 400),
