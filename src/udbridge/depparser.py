@@ -20,6 +20,11 @@ and adds the rows of a decision to a copy of the s0 scores in the old
 order. Each class gets the same float additions in the same order as
 summing every feature from 0.0, so the parses are the same. Reordering the
 features changes the parses.
+
+ParserModel also decodes each move once into (kind, label), and parse runs
+arc-standard on plain lists and dicts, not on a _State, picking moves by
+class index. _State, _open_moves and _node_feats stay for training and as
+the reference the tests check parse against.
 """
 
 import random
@@ -218,7 +223,8 @@ def oracle_move(state: _State, heads: list[int], deprels: list[str], n_children:
 
 def check_moves(classes: list[str], root_label: str) -> None:
     """Parser classes must be shift and arc moves, left:<label> or right:<label>,
-    and labels, the root label among them, non-empty without whitespace."""
+    and labels, the root label among them, non-empty without whitespace.
+    So shift sorts after every arc move, which ParserModel.parse relies on."""
     if SHIFT not in classes or len(classes) < 2:
         raise DataError("parser classes need 'shift' and an arc move")
     for move in classes:
@@ -253,10 +259,11 @@ class ParserModel:
 
     def __post_init__(self):
         # The moves scored (sorted, with "shift"), the weights frozen over
-        # them, and the candidate index lists for _open_moves; never saved.
+        # them, and each move decoded as (kind, label); never saved. Every
+        # other move is left:<label> or right:<label>, so shift sorts last.
         self._moves = sorted(set(self.classes) | {SHIFT})
         rows = self._rows = compile_rows(self.weights, self._moves)
-        self._every, self._arcs, self._shift_only = _candidates(self._moves)
+        self._decoded = [_decode_move(move) for move in self._moves]
         # The tables parse() scores from; never saved. Per arc label (and
         # _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
         # distance; and two memos filled as tokens come. Handler threads
@@ -316,51 +323,84 @@ class ParserModel:
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
         """Greedy parse; returns 1-based heads and deprels per token.
 
-        Scores each decision like summing the rows of _node_feats in order
-        (see the module docstring)."""
-        state = _State(n=len(forms))
+        Runs the transitions of _State.apply, with the moves _open_moves
+        offers, and scores each decision like summing the rows of
+        _node_feats in order (see the module docstring)."""
+        n = len(forms)
         pforms, ptags = _padded(forms), _padded(tags)
         # the root (node 0) never fills a feature slot
         memo, token = self._tokens, self._token
         tokens = [None] + [memo.get(key) or token(key) for key in zip(pforms[1:], ptags[1:])]
-        moves, get = self._moves, self._rows.get
+        decoded, get = self._decoded, self._rows.get
         triples, label_rows, dist_rows = self._triples, self._label_rows, self._dist_rows
-        none = state.n + 1
-        stack, lc, rc = state.stack, state.lc, state.rc
-        # A decision is scored only when _open_moves offers two moves or
-        # more, that is with two tokens on the stack: s0 and s1 are tokens.
-        while not state.terminal():
-            open_moves = _open_moves(state, self._every, self._arcs, self._shift_only)
-            if open_moves is None:
-                move = "right:root"
-            elif len(open_moves) == 1:
-                move = moves[open_moves[0]]
+        heads = [0] * (n + 1)
+        deprels = [_NONE] * (n + 1)
+        # the label of each node's leftmost / rightmost child (see _State)
+        lc: dict[int, str] = {}
+        rc: dict[int, str] = {}
+        stack = [0]
+        b0 = 1  # the next buffer node; n + 1 once the buffer is empty
+        none = n + 1
+        while True:
+            depth = len(stack)
+            # With fewer than two tokens on the stack no decision is scored:
+            # shift while the buffer holds tokens, then attach the last
+            # token to the root.
+            if depth < 3:
+                if b0 <= n:
+                    stack.append(b0)
+                    b0 += 1
+                    continue
+                if depth == 2:
+                    dep = stack.pop()
+                    deprels[dep] = self.root_label
+                return heads[1:], deprels[1:]
+            s0, s1 = stack[-1], stack[-2]
+            s2 = stack[-3] if depth > 3 else none
+            key = (ptags[s0], ptags[s1], ptags[b0])
+            triple = triples.get(key) or self._triple(key)
+            scores = list(tokens[s0][0])
+            for pairs in (
+                tokens[s1][1],
+                tokens[s2][2],
+                tokens[b0][3],
+                tokens[b0 + 1][4],
+                triple[0],
+                get("s0s1w=" + pforms[s0] + "+" + pforms[s1], ()),
+                triple[1],
+                label_rows[lc.get(s0, _NONE)][0],
+                label_rows[rc.get(s0, _NONE)][1],
+                label_rows[lc.get(s1, _NONE)][2],
+                label_rows[rc.get(s1, _NONE)][3],
+                dist_rows[min(s0 - s1, 5)],
+            ):
+                for i, w in pairs:
+                    scores[i] += w
+            if b0 > n:
+                scores.pop()  # only the arc moves are open, and shift is last
+            kind, label = decoded[scores.index(max(scores))]
+            if kind == SHIFT:
+                stack.append(b0)
+                b0 += 1
+            elif kind == "left":
+                stack.pop()
+                stack[-1] = s0
+                heads[s1] = s0
+                deprels[s1] = lc[s0] = label
             else:
-                s0, s1 = stack[-1], stack[-2]
-                s2 = stack[-3] if len(stack) > 3 else none
-                b0 = state.next_buf
-                key = (ptags[s0], ptags[s1], ptags[b0])
-                triple = triples.get(key) or self._triple(key)
-                scores = list(tokens[s0][0])
-                for pairs in (
-                    tokens[s1][1],
-                    tokens[s2][2],
-                    tokens[b0][3],
-                    tokens[b0 + 1][4],
-                    triple[0],
-                    get("s0s1w=" + pforms[s0] + "+" + pforms[s1], ()),
-                    triple[1],
-                    label_rows[lc.get(s0, _NONE)][0],
-                    label_rows[rc.get(s0, _NONE)][1],
-                    label_rows[lc.get(s1, _NONE)][2],
-                    label_rows[rc.get(s1, _NONE)][3],
-                    dist_rows[min(s0 - s1, 5)],
-                ):
-                    for i, w in pairs:
-                        scores[i] += w
-                move = moves[max(open_moves, key=scores.__getitem__)]
-            state.apply(move, self.root_label)
-        return state.heads[1:], state.deprels[1:]
+                stack.pop()
+                heads[s0] = s1
+                deprels[s0] = rc[s1] = label
+
+
+def _decode_move(move: str) -> tuple[str, str]:
+    """(kind, label) of a move: (SHIFT, "") or ("left" or "right", label)."""
+    if move == SHIFT:
+        return SHIFT, ""
+    if not move.startswith(("left:", "right:")):
+        raise DataError(f"unknown transition {move!r}")
+    kind, _, label = move.partition(":")
+    return kind, label
 
 
 def _sentence_arrays(sent: Sentence) -> tuple[list[str], list[str], list[int], list[str]]:

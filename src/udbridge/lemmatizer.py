@@ -65,8 +65,17 @@ def derive_script(form: str, lemma: str) -> EditScript:
 
 @dataclass
 class LemmaRules:
+    """The scripts seen per (suffix, upos). `rules` is filled by add(), or
+    in full before the first predict(): predict() ranks each bucket once
+    and keeps the ranking until add() changes that bucket."""
+
     # (suffix, upos) -> {script: frequency}
     rules: dict[tuple[str, str], dict[EditScript, int]] = field(default_factory=dict)
+    # (suffix, upos) -> its scripts ranked for predict(); never saved.
+    # Handler threads share it: a dict get or set is atomic.
+    _ranked: dict[tuple[str, str], tuple[EditScript, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, form: str, upos: str, lemma: str) -> None:
         script = derive_script(form, lemma)
@@ -74,16 +83,25 @@ class LemmaRules:
             key = (form[-length:], upos)
             bucket = self.rules.setdefault(key, {})
             bucket[script] = bucket.get(script, 0) + 1
+            self._ranked.pop(key, None)
+
+    def _rank(self, key: tuple[str, str]) -> tuple[EditScript, ...]:
+        """The scripts of a bucket, highest frequency first, then in
+        lexicographic script order; () for no bucket."""
+        bucket = self.rules.get(key)
+        if not bucket:
+            return ()
+        ranked = sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))
+        self._ranked[key] = scripts = tuple(script for script, _freq in ranked)
+        return scripts
 
     def predict(self, form: str, upos: str | None) -> str:
         if upos is None:
             return form
+        ranked = self._ranked
         for length in range(min(MAX_SUFFIX, len(form)), 0, -1):
-            bucket = self.rules.get((form[-length:], upos))
-            if not bucket:
-                continue
-            # Highest frequency first, then lexicographic script order.
-            for script, _freq in sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0])):
+            key = (form[-length:], upos)
+            for script in ranked.get(key) or self._rank(key):
                 result = script.apply(form)
                 if result is not None:
                     return result

@@ -159,7 +159,7 @@ class PipelineModel:
         parser_classes = _classes(parser, "classes", "parser")
         root_label = _field(parser, "root_label", str, "parser")
         check_moves(parser_classes, root_label)
-        rules = LemmaRules()
+        rules: dict[tuple[str, str], dict[EditScript, int]] = {}
         for rule in _field(payload, "lemmatizer", list):
             if type(rule) is not list or list(map(type, rule)) != _RULE_TYPES:
                 raise DataError(f"lemmatizer rule {rule!r} is not [str, str, int, str, str, int]")
@@ -168,10 +168,10 @@ class PipelineModel:
                     or append and not fits_column("LEMMA", append)):
                 raise DataError(f"lemmatizer rule {rule!r} needs a strip length >= 0, an append"
                                 f" a LEMMA can hold, a casing op in {CASING_OPS} and a frequency >= 1")
-            rules.rules.setdefault((suffix, upos), {})[EditScript(strip, append, casing)] = freq
+            rules.setdefault((suffix, upos), {})[EditScript(strip, append, casing)] = freq
         return cls(
             tagger=TaggerModel(weights=tagger_weights, classes=tagger_classes),
-            lemma_rules=rules,
+            lemma_rules=LemmaRules(rules),
             parser=ParserModel(
                 weights=_field(parser, "weights", dict, "parser"),
                 classes=parser_classes,
@@ -266,7 +266,9 @@ def predict_columns(model: PipelineModel, forms: list[str]):
     upos = predicted["upos"]
     heads, deprels = model.parser.parse(forms, upos)
     xpos = [None if x == "_" else x for x in predicted["xpos"]]
-    feats = [parse_feats(label) for label in predicted["feats"]]
+    # each distinct label parsed once; each token gets its own dict
+    parsed = {label: parse_feats(label) for label in set(predicted["feats"])}
+    feats = [dict(parsed[label]) for label in predicted["feats"]]
     return upos, xpos, feats, heads, deprels
 
 

@@ -256,7 +256,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(408, "timed out reading the request body") from None
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):
+            # ValueError: bad UTF-8, bad JSON, or an integer of more than
+            # sys.get_int_max_str_digits() digits; RecursionError: nesting
+            # deeper than the interpreter's recursion limit
             raise _HttpError(400, "body must be UTF-8 JSON") from None
         if not isinstance(payload, dict):
             raise _HttpError(400, "body must be a JSON object")

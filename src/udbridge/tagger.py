@@ -13,10 +13,18 @@ features, and a decision only adds the rest to a copy. The sums are the
 same float additions in the same order as summing every feature from 0.0,
 so the tags are the same. Those 11 features must stay first, or the memo
 gives different tags. The memo is filled as forms come and never saved.
+
+The two previous-label features (pt= and ppt=) depend on the model and on
+the two classes just chosen. So each attribute also has a history table,
+built once per model: per (prev2, prev) class index, with the pad at
+index n, the pt= pairs and then the ppt= pairs. A decision adds that entry
+where it added the two rows, and the decoder carries class indices,
+naming them once per sentence.
 """
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .conllu import Document
 from .errors import DataError
@@ -83,8 +91,23 @@ def _add_scores(rows: Rows, features, scores: list[float]) -> list[float]:
     return scores
 
 
-# (frozen weights, class names) of one attribute
-Table = tuple[Rows, list[str]]
+# per (prev2, prev) class index, the pt= and ppt= pairs of that history
+History = list[list[tuple[tuple[int, float], ...]]]
+# (frozen weights, class names, history table) of one attribute
+Table = tuple[Rows, list[str], History]
+
+
+def _table(weights: dict[str, dict[str, float]], classes: list[str]) -> Table:
+    """The decoding table of one attribute's weights. Its history entries
+    are built from class names, the pad _PAD at index len(classes), so a
+    class spelled _PAD reads the same rows as the pad."""
+    rows = compile_rows(weights, classes)
+    names = classes + [_PAD]
+    history = [
+        [rows.get("pt=" + prev, ()) + rows.get("ppt=" + prev2 + "+" + prev, ()) for prev in names]
+        for prev2 in names
+    ]
+    return rows, classes, history
 
 
 def _decode(forms: list[str], tables: list[Table], memo: dict) -> list[list[str]]:
@@ -101,31 +124,35 @@ def _decode(forms: list[str], tables: list[Table], memo: dict) -> list[list[str]
         if entry is None:
             feats = _form_features(w)
             entry = tuple(
-                tuple(_add_scores(rows, feats, [0.0] * len(classes))) for rows, classes in tables
+                tuple(_add_scores(rows, feats, [0.0] * len(classes))) for rows, classes, _ in tables
             ) + (tuple(_tail(w)),)
             key = "w=" + w
-            if any(key in rows for rows, _ in tables):
+            if any(key in rows for rows, _, _ in tables):
                 memo[w] = entry
         known.append(entry)
     lowered = [w.lower() for w in forms]
     pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
     nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
+    empty = repeat(())
     out = []
-    for k, (rows, classes) in enumerate(tables):
+    for k, (rows, classes, history) in enumerate(tables):
         get = rows.get
-        prev, prev2 = _PAD, _PAD
+        prev = prev2 = len(classes)  # the pad
         tags = []
-        for entry, pw, nw in zip(known, pws, nws):
+        for entry, pw, nw in zip(known, map(get, pws, empty), map(get, nws, empty)):
             # the loop of _add_scores, inlined: this is the hot path
             scores = list(entry[k])
-            for feat in (pw, nw, "pt=" + prev, "ppt=" + prev2 + "+" + prev, *entry[-1]):
+            for pairs in (pw, nw, history[prev2][prev]):
+                for i, w in pairs:
+                    scores[i] += w
+            for feat in entry[-1]:
                 row = get(feat)
                 if row is not None:
                     for i, w in row:
                         scores[i] += w
-            prev2, prev = prev, classes[scores.index(max(scores))]
+            prev2, prev = prev, scores.index(max(scores))
             tags.append(prev)
-        out.append(tags)
+        out.append([classes[i] for i in tags])
     return out
 
 
@@ -135,9 +162,9 @@ class TaggerModel:
     classes: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # attribute -> its weights frozen over its classes; never saved
-        self._rows = {
-            attr: compile_rows(self.weights.get(attr, {}), classes)
+        # attribute -> its decoding table (_table); never saved
+        self._tables = {
+            attr: _table(self.weights.get(attr, {}), classes)
             for attr, classes in self.classes.items()
         }
         # the _decode memo over ATTRIBUTES; filled as forms come, never
@@ -148,7 +175,7 @@ class TaggerModel:
         return self.predict(forms)[attribute]
 
     def predict(self, forms: list[str]) -> dict[str, list[str]]:
-        tables = [(self._rows[attr], self.classes[attr]) for attr in ATTRIBUTES]
+        tables = [self._tables[attr] for attr in ATTRIBUTES]
         return dict(zip(ATTRIBUTES, _decode(forms, tables, self._memo)))
 
 
@@ -219,11 +246,11 @@ def train_tagger(
                     model.update(truth, guess, feats)
                     prev2, prev = prev, names[guess]
         if dev_data is not None:
-            snapshot = compile_rows(models["upos"].averaged(), classes["upos"])
+            snapshot = _table(models["upos"].averaged(), classes["upos"])
             memo: dict = {}
             correct = total = 0
             for forms, labels in dev_data:
-                (got_tags,) = _decode(forms, [(snapshot, classes["upos"])], memo)
+                (got_tags,) = _decode(forms, [snapshot], memo)
                 for got, want in zip(got_tags, labels["upos"]):
                     correct += got == want
                     total += 1

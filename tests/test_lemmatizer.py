@@ -1,6 +1,10 @@
 """Edit-script lemmatizer: script derivation, rule indexing, prediction."""
 
+import sys
+import threading
+
 import pytest
+from synth import make_corpus
 
 from udbridge.conllu import parse_conllu
 from udbridge.errors import DataError
@@ -107,3 +111,48 @@ def test_train_and_predict_round_trip():
     assert rules.predict("De", "DET") == "de"
     assert rules.predict("sjocht", "VERB") == "sjoche"
     assert rules.predict("bocht", "VERB") == "boche"
+
+
+def test_an_add_that_reorders_a_bucket_changes_the_next_prediction():
+    adds = [("boeken", "NOUN", "boek"), ("katten", "NOUN", "kat")]
+    rules = LemmaRules()
+    for add in adds:
+        rules.add(*add)
+    # ("en", NOUN) holds strip-2 and strip-3 once each: the smaller script wins
+    assert rules.predict("loopen", "NOUN") == "loop"
+    adds.append(("ratten", "NOUN", "rat"))
+    rules.add(*adds[-1])
+    fresh = LemmaRules()
+    for add in adds:
+        fresh.add(*add)
+    assert rules.predict("loopen", "NOUN") == fresh.predict("loopen", "NOUN") == "loo"
+    assert rules == fresh
+
+
+def test_threads_sharing_one_set_of_rankings_get_fresh_lemmas():
+    corpus = make_corpus(60, seed=3)
+    queries = [(t.form, t.upos) for t in make_corpus(30, seed=4).tokens()]
+    queries += [("Ljouwert", "PROPN"), ("x", "NOUN"), ("boeken", "VERB")]
+    want = [train_lemmatizer(corpus).predict(form, upos) for form, upos in queries]
+    rules = train_lemmatizer(corpus)
+    start = threading.Barrier(4, timeout=30)
+    results: list = [None] * 4
+
+    def work(k):
+        start.wait()
+        order = queries[k:] + queries[:k]
+        results[k] = [rules.predict(form, upos) for form, upos in order]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, got in enumerate(results):
+        assert got == want[k:] + want[:k]

@@ -175,6 +175,152 @@ def test_parser_with_weights_for_moves_outside_its_classes():
         assert model.parse(forms, sent_tags) == reference_parse(model, forms, sent_tags)
 
 
+_AB_MOVES = sorted([SHIFT] + [f"{kind}:{l}" for kind in ("left", "right") for l in "ab"])
+
+
+def test_shift_outscoring_every_arc_with_the_buffer_empty_is_passed_over():
+    weights = {"bias": {SHIFT: 5.0, "right:b": 1.0, "left:a": 0.5}, "b0w=<none>": {SHIFT: 10.0}}
+    model = ParserModel(weights=weights, classes=_AB_MOVES, labels=["a", "b"])
+    for n in range(1, 7):
+        forms, tags = [f"w{i}" for i in range(n)], ["T"] * n
+        assert model.parse(forms, tags) == reference_parse(model, forms, tags)
+    # shift while the buffer holds tokens, then right:b, the best arc
+    assert model.parse(["p", "q", "r"], ["T"] * 3) == ([0, 1, 2], ["root", "b", "b"])
+
+
+@pytest.mark.parametrize("bias,want", [
+    # every arc ties below shift: shift, then left:a, the earliest arc
+    ({"left:a": 1.0, "left:b": 1.0, "right:a": 1.0, "right:b": 1.0, SHIFT: 2.0},
+     ([3, 3, 0], ["a", "a", "root"])),
+    # the right arcs tie above the left ones: right:a
+    ({"left:a": 0.5, "left:b": 0.5, "right:a": 1.0, "right:b": 1.0, SHIFT: 2.0},
+     ([0, 1, 2], ["root", "a", "a"])),
+    # every move ties: left:a beats shift, which sorts last
+    ({"left:a": 1.0, "left:b": 1.0, "right:a": 1.0, "right:b": 1.0, SHIFT: 1.0},
+     ([2, 3, 0], ["a", "a", "root"])),
+])
+def test_tied_arc_scores_go_to_the_earliest_move(bias, want):
+    model = ParserModel(weights={"bias": bias}, classes=_AB_MOVES, labels=["a", "b"])
+    assert model.parse(["p", "q", "r"], ["T"] * 3) == want
+    for n in range(1, 7):
+        forms, tags = [f"w{i}" for i in range(n)], ["T"] * n
+        assert model.parse(forms, tags) == reference_parse(model, forms, tags)
+
+
+def test_a_tag_class_spelled_like_the_pad_reads_the_pad_rows():
+    weights = {
+        "bias": {"<s>": 1.0},
+        "pt=<s>": {"A": 0.75, "B": 0.5},
+        "ppt=<s>+<s>": {"B": 0.5, "<s>": -0.25},
+        "pt=A": {"<s>": 0.25},
+        "w=y": {"B": 2.0},
+        "ppt=B+<s>": {"A": 1.0},
+    }
+    classes = {"upos": ["A", "B"], "xpos": ["A", "<s>", "B"], "feats": ["<s>", "B"]}
+    model = TaggerModel(weights={attr: weights for attr in ATTRIBUTES}, classes=classes)
+    sentences = [["x"], ["x", "x", "x"], ["x", "y", "x", "x", "y"], ["y", "x", "x", "y", "x"]]
+    for forms in sentences:
+        got = model.predict(forms)
+        assert got == {attr: reference_tags(model, forms, attr) for attr in ATTRIBUTES}
+    assert "<s>" in model.predict(["x", "x", "x"])["xpos"]
+
+
+def test_pt_rows_are_added_before_the_ppt_rows():
+    # Class "a" scores (1e16 + 1.0) - 1e16 = 0.0 in feature order and loses
+    # to "b"; adding ppt before pt would give (1e16 - 1e16) + 1.0 = 1.0.
+    weights = {"bias": {"a": 1e16, "b": 0.5}, "pt=<s>": {"a": 1.0}, "ppt=<s>+<s>": {"a": -1e16}}
+    model = TaggerModel(
+        weights={attr: weights for attr in ATTRIBUTES},
+        classes={attr: ["a", "b"] for attr in ATTRIBUTES},
+    )
+    got = model.predict(["X"])
+    assert got == {attr: reference_tags(model, ["X"], attr) for attr in ATTRIBUTES}
+    assert got["upos"] == ["b"]
+
+
+# --------------------------------------- random tables against the references
+
+_WORDS = ("a", "Ab", "b2", "ab", "<s>")
+_FORMS = ("x", "y", "z")
+_TAGS = ("N", "V")
+
+
+def _named_table(rng: random.Random, classes: list[str], names: list[str]) -> dict:
+    """random_table's rows under feature `names`, about half of them kept."""
+    rows = random_table(rng, classes, len(names)).values()
+    return {name: row for name, row in zip(names, rows) if rng.random() < 0.5}
+
+
+def _tagger_feature_names(classes: list[str]) -> list[str]:
+    history = classes + [_PAD]
+    names = {"hasdigit", "cap"}
+    for w in _WORDS:
+        names.update(token_features([w], 0, _PAD, _PAD))
+        names.update(("pw=" + w.lower(), "nw=" + w.lower()))
+    names.update("pt=" + prev for prev in history)
+    names.update(f"ppt={prev2}+{prev}" for prev2 in history for prev in history)
+    return sorted(names)
+
+
+def _parser_feature_names(labels: list[str]) -> list[str]:
+    forms, tags = _FORMS + ("<none>",), _TAGS + ("<none>",)
+    names = ["bias"] + [f"dist={d}" for d in range(1, 6)]
+    names += [slot + f for slot in ("s0w=", "s1w=", "b0w=", "b1w=") for f in forms]
+    names += [slot + t for slot in ("s0t=", "s1t=", "s2t=", "b0t=", "b1t=") for t in tags]
+    names += [f"{slot}{f}/{t}" for slot in ("s0wt=", "s1wt=", "b0wt=") for f in forms for t in tags]
+    names += [f"{slot}{t}+{u}" for slot in ("s0s1t=", "s0b0t=", "s1b0t=") for t in tags for u in tags]
+    names += [f"s0s1w={f}+{g}" for f in forms for g in forms]
+    names += [f"s0s1b0t={t}+{u}+{v}" for t in tags for u in tags for v in tags]
+    names += [slot + l for slot in ("s0lc=", "s0rc=", "s1lc=", "s1rc=")
+              for l in labels + ["root", "<none>"]]
+    return names
+
+
+def test_random_tables_tag_like_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        classes = {attr: rng.sample(["<s>", "A", "B", "C", "D"], rng.randint(1, 4))
+                   for attr in ATTRIBUTES}
+        weights = {attr: _named_table(rng, classes[attr], _tagger_feature_names(classes[attr]))
+                   for attr in ATTRIBUTES}
+        model = TaggerModel(weights=weights, classes=classes)
+        for _ in range(2):  # cold, then from the memo
+            for _ in range(4):
+                forms = rng.choices(_WORDS, k=rng.randint(1, 8))
+                assert model.predict(forms) == {
+                    attr: reference_tags(model, forms, attr) for attr in ATTRIBUTES
+                }
+
+    check()
+
+
+def test_random_tables_parse_like_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        labels = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
+        classes = sorted([SHIFT] + [f"{kind}:{l}" for kind in ("left", "right") for l in labels])
+        # "right:root" is a move the parser makes only unscored
+        weights = _named_table(rng, classes + ["right:root"], _parser_feature_names(labels))
+        model = ParserModel(weights=weights, classes=classes, labels=labels)
+        for _ in range(6):
+            n = rng.randint(1, 8)
+            forms = rng.choices(_FORMS + ("w",), k=n)
+            tags = rng.choices(_TAGS + ("Q",), k=n)
+            assert model.parse(forms, tags) == reference_parse(model, forms, tags)
+
+    check()
+
+
 # ------------------------------------------------------ the tagger's form memo
 
 # Unseen forms, digits, capitals and one-letter words beside the grammar.
