@@ -77,12 +77,14 @@ class LemmaRules:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def add(self, form: str, upos: str, lemma: str) -> None:
+    def add(self, form: str, upos: str, lemma: str, count: int = 1) -> None:
+        """Count the script of (form, lemma) `count` more times under each
+        of the form's suffix keys."""
         script = derive_script(form, lemma)
         for length in range(1, min(MAX_SUFFIX, len(form)) + 1):
             key = (form[-length:], upos)
             bucket = self.rules.setdefault(key, {})
-            bucket[script] = bucket.get(script, 0) + 1
+            bucket[script] = bucket.get(script, 0) + count
             self._ranked.pop(key, None)
 
     def _rank(self, key: tuple[str, str]) -> tuple[EditScript, ...]:
@@ -109,7 +111,10 @@ class LemmaRules:
 
 
 def train_lemmatizer(train: Document) -> LemmaRules:
-    rules = LemmaRules()
+    """The rules of every gold (form, UPOS, lemma) in `train`. Each
+    distinct triple is added once with its frequency, in order of first
+    occurrence, which gives the rules that adding every token would."""
+    counts: dict[tuple[str, str, str], int] = {}
     for sent in train.sentences:
         for tok in sent.tokens:
             if tok.lemma is None:
@@ -120,5 +125,9 @@ def train_lemmatizer(train: Document) -> LemmaRules:
                 raise DataError(
                     f"sentence {sent.sent_id}: token {tok.id} ({tok.form!r}) has no gold upos"
                 )
-            rules.add(tok.form, tok.upos, tok.lemma)
+            triple = (tok.form, tok.upos, tok.lemma)
+            counts[triple] = counts.get(triple, 0) + 1
+    rules = LemmaRules()
+    for (form, upos, lemma), count in counts.items():
+        rules.add(form, upos, lemma, count)
     return rules

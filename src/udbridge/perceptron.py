@@ -7,8 +7,14 @@ in averaged(), which returns the usual feature -> {class: weight} table.
 
 The tick counter advances once per training decision (update() call), also
 when the guess was correct. averaged() returns, for every feature/class,
-the mean of the post-update weight snapshots over all ticks so far; the
-lazy total/timestamp bookkeeping avoids touching untouched weights.
+the mean of the post-update weight snapshots over all ticks so far. It is
+computed in closed form (Daume III 2006): a weight w moved by deltas d_t
+at ticks t has, after T ticks, the snapshot sum (T + 1) * w - u with
+u = sum of t * d_t. update() keeps w and u as Python ints in two parallel
+rows per feature, so that numerator is exact for any run length, and
+averaged() divides it by T once, a correctly rounded true division. So
+each average is the float that summing every snapshot gives whenever that
+sum is exact (below 2**53), and the exact mean rounded once beyond it.
 
 Trained models score through frozen tables: compile_rows() turns a
 feature -> {class: weight} table into class-indexed rows once. The tagger
@@ -33,10 +39,11 @@ class AveragedPerceptron:
     def __init__(self, classes: list[str]):
         self.classes = list(classes)
         self._index = {cls: i for i, cls in enumerate(self.classes)}
-        # feature -> {class index: weight}
+        # feature -> {class index: weight}; ints while training
         self.weights: dict[str, dict[int, float]] = {}
-        self._totals: dict[tuple[str, int], float] = {}
-        self._tstamps: dict[tuple[str, int], int] = {}
+        # feature -> {class index: sum of tick * delta}, the rows of
+        # `weights` with the same keys in the same order
+        self._sums: dict[str, dict[int, int]] = {}
         self.ticks = 0
 
     def index(self, cls: str) -> int:
@@ -52,7 +59,7 @@ class AveragedPerceptron:
         to the earliest. Sums like predict_with()."""
         if len(candidates) == 1:
             return candidates[0]
-        scores = [0.0] * len(self.classes)
+        scores = [0] * len(self.classes)
         get = self.weights.get
         for feat in features:
             row = get(feat)
@@ -65,39 +72,39 @@ class AveragedPerceptron:
         self.ticks += 1
         if truth == guess:
             return
-        ticks = self.ticks
-        weights, totals, stamps = self.weights, self._totals, self._tstamps
-        shifts = ((truth, 1.0), (guess, -1.0))
+        tick = self.ticks
+        weights, sums = self.weights, self._sums
+        get = weights.get
         for feat in features:
-            row = weights.get(feat)
+            row = get(feat)
             if row is None:
-                row = weights[feat] = {}
-            for cls, delta in shifts:
-                key = (feat, cls)
-                current = row.get(cls, 0.0)
-                # Credit the outgoing weight for the ticks it was in force.
-                totals[key] = totals.get(key, 0.0) + (ticks - stamps.get(key, 0)) * current
-                stamps[key] = ticks
-                row[cls] = current + delta
+                weights[feat] = {truth: 1, guess: -1}
+                sums[feat] = {truth: tick, guess: -tick}
+                continue
+            usum = sums[feat]
+            row[truth] = row.get(truth, 0) + 1
+            usum[truth] = usum.get(truth, 0) + tick
+            row[guess] = row.get(guess, 0) - 1
+            usum[guess] = usum.get(guess, 0) - tick
 
     def averaged(self) -> dict[str, dict[str, float]]:
         """Mean of per-tick post-update weight snapshots (non-destructive),
         keyed by class name."""
         classes = self.classes
-        if self.ticks == 0:
+        ticks = self.ticks
+        if ticks == 0:
             return {
                 f: {classes[i]: w for i, w in row.items()} for f, row in self.weights.items()
             }
+        after = ticks + 1
         out: dict[str, dict[str, float]] = {}
         for feat, row in self.weights.items():
-            arow: dict[str, float] = {}
-            for i, w in row.items():
-                key = (feat, i)
-                total = self._totals.get(key, 0.0)
-                # The weight set at tick t is in force for snapshots t..now.
-                total += (self.ticks - self._tstamps.get(key, 0) + 1) * w
-                if total != 0.0:
-                    arow[classes[i]] = total / self.ticks
+            usum = self._sums[feat]
+            arow = {
+                classes[i]: total / ticks
+                for i, w in row.items()
+                if (total := after * w - usum[i])
+            }
             if arow:
                 out[feat] = arow
         return out

@@ -101,6 +101,30 @@ def test_train_lemmatizer_requires_gold_fields():
     assert "no gold lemma" in str(exc_info.value)
 
 
+def test_the_first_bad_token_in_document_order_is_reported():
+    doc = parse_conllu(
+        "1\trint\trinne\tVERB\t_\t_\t0\troot\t_\t_\n"
+        "2\tgau\tgau\t_\t_\t_\t1\tadvmod\t_\t_\n"
+        "3\tgau\t_\tADV\t_\t_\t1\tadvmod\t_\t_\n"
+    )
+    with pytest.raises(DataError, match="token 2 .* no gold upos"):
+        train_lemmatizer(doc)
+
+
+def test_counted_training_gives_the_rules_of_adding_every_token():
+    doc = make_corpus(60, seed=19)
+    rules = LemmaRules()
+    for sent in doc.sentences:
+        for tok in sent.tokens:
+            rules.add(tok.form, tok.upos, tok.lemma)
+    trained = train_lemmatizer(doc)
+    assert trained.rules == rules.rules
+    assert [list(bucket) for bucket in trained.rules.values()] == [
+        list(bucket) for bucket in rules.rules.values()
+    ]
+    assert list(trained.rules) == list(rules.rules)
+
+
 def test_train_and_predict_round_trip():
     doc = parse_conllu(
         "1\tDe\tde\tDET\t_\t_\t2\tdet\t_\t_\n"

@@ -1,6 +1,7 @@
-"""Averaged perceptron: hand-traced averaging, tie rule, lazy accumulation."""
+"""Averaged perceptron: hand-traced averaging, tie rule, closed-form averages."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from oracles import SnapshotPerceptron
@@ -116,3 +117,58 @@ def test_random_updates_match_the_snapshot_reference():
             p.update(p.index(truth), guess, feats)
             ref.update(truth, known[guess], feats)
             assert p.averaged() == ref.averaged()
+
+
+def test_long_random_run_matches_the_snapshot_reference():
+    """Thousands of updates over a growing class list: classes come in
+    through index() mid-run, and averaged() equals the snapshot sums at
+    every checkpoint."""
+    rng = random.Random(1904)
+    p = AveragedPerceptron(["c0", "c1"])
+    ref = SnapshotPerceptron()
+    pool = [f"f{i}" for i in range(25)]
+    for step in range(1, 3001):
+        if step % 400 == 0:
+            p.index(f"c{len(p.classes)}")
+        feats = rng.sample(pool, rng.randint(1, 6))
+        known = p.classes[:]
+        guess = p.predict(feats, list(range(len(known))))
+        assert known[guess] == predict_with(ref.weights, feats, known)
+        truth = rng.randrange(len(known))
+        if rng.random() < 0.5:
+            guess = rng.randrange(len(known))
+        p.update(truth, guess, feats)
+        ref.update(known[truth], known[guess], feats)
+        if step % 250 == 0:
+            assert p.averaged() == ref.averaged()
+    assert len(p.classes) == 9
+    assert p.averaged() == ref.averaged()
+
+
+def test_averaged_is_exact_past_float_precision():
+    """Weight x tick products past 2**53, where float totals would round:
+    averaged() is the exact mean of the snapshots, rounded once."""
+    rng = random.Random(1905)
+    classes = ["A", "B", "C"]
+    p = AveragedPerceptron(classes)
+    # updates with long runs of correct guesses (ticks) in between
+    events = []  # (tick, feature, class index, delta)
+    for _ in range(300):
+        feats = rng.sample(["f", "g", "h", "k"], rng.randint(1, 4))
+        truth, guess = rng.randrange(3), rng.randrange(3)
+        p.update(truth, guess, feats)
+        if truth != guess:
+            for feat in feats:
+                events += [(p.ticks, feat, truth, 1), (p.ticks, feat, guess, -1)]
+        p.ticks += rng.choice([0, 1, 7, 2**51 + 3])
+    ticks = p.ticks
+    sums: dict[tuple[str, int], int] = {}
+    for tick, feat, cls, delta in events:
+        # a delta made at `tick` is in force for snapshots tick..ticks
+        sums[feat, cls] = sums.get((feat, cls), 0) + delta * (ticks - tick + 1)
+    want: dict[str, dict[str, float]] = {}
+    for (feat, cls), total in sums.items():
+        if total:
+            want.setdefault(feat, {})[classes[cls]] = float(Fraction(total, ticks))
+    assert any(float(total) != total for total in sums.values())
+    assert p.averaged() == want
