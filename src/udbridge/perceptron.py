@@ -21,8 +21,10 @@ feature -> {class: weight} table into class-indexed rows once. The tagger
 and the parser sum those rows in their own decoders, which start from
 remembered per-form or per-token scores. predict_with() is the reference
 for predict() and both decoders on the dict form: all of them sum each
-class's score from 0.0 in feature order and give ties to the earliest
-class.
+class's score in feature order and give ties to the earliest class. The
+decoders and predict_with() start from 0.0; predict() starts from 0, so it
+adds the int rows of training exactly, and float rows (set by hand) with
+the same additions as predict_with().
 """
 
 from itertools import chain
@@ -40,7 +42,7 @@ class AveragedPerceptron:
         self.classes = list(classes)
         self._index = {cls: i for i, cls in enumerate(self.classes)}
         # feature -> {class index: weight}; ints while training
-        self.weights: dict[str, dict[int, float]] = {}
+        self.weights: dict[str, dict[int, int | float]] = {}
         # feature -> {class index: sum of tick * delta}, the rows of
         # `weights` with the same keys in the same order
         self._sums: dict[str, dict[int, int]] = {}

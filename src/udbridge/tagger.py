@@ -98,37 +98,15 @@ Table = tuple[Rows, list[str], History]
 
 
 def _table(weights: dict[str, dict[str, float]], classes: list[str]) -> Table:
-    """The decoding table of one attribute's weights. Its history entry
-    per (prev2, prev) index is rows["pt=" + prev] + rows["ppt=" + prev2 +
-    "+" + prev] (each () when absent), built from class names with the pad
-    _PAD at index len(classes), so a class spelled _PAD reads the same rows
-    as the pad.
-
-    Every prev2 without a ppt= row shares one list of the pt= rows; only
-    the prev2s of the ppt= rows present get a patched copy. A ppt= key is
-    split at every "+" with a name on both sides, since class names may
-    hold "+" themselves.
-    """
+    """The decoding table of one attribute's weights. Its history entries
+    are built from class names, the pad _PAD at index len(classes), so a
+    class spelled _PAD reads the same rows as the pad."""
     rows = compile_rows(weights, classes)
     names = classes + [_PAD]
-    at: dict[str, list[int]] = {}
-    for i, name in enumerate(names):
-        at.setdefault(name, []).append(i)
-    base = [rows.get("pt=" + prev, ()) for prev in names]
-    history = [base] * len(names)
-    for key, pairs in rows.items():
-        if not key.startswith("ppt="):
-            continue
-        cut = key.find("+", 4)
-        while cut != -1:
-            prev2, prev = key[4:cut], key[cut + 1 :]
-            if prev2 in at and prev in at:
-                for i in at[prev2]:
-                    if history[i] is base:
-                        history[i] = base.copy()
-                    for j in at[prev]:
-                        history[i][j] = base[j] + pairs
-            cut = key.find("+", cut + 1)
+    history = [
+        [rows.get("pt=" + prev, ()) + rows.get("ppt=" + prev2 + "+" + prev, ()) for prev in names]
+        for prev2 in names
+    ]
     return rows, classes, history
 
 

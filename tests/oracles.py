@@ -147,21 +147,6 @@ class SnapshotPerceptron:
         return out
 
 
-# ------------------------------------------------- tagger history table
-
-
-def history_reference(rows: dict, classes: list[str], pad: str) -> list[list[tuple]]:
-    """The tagger's history table by its definition: for every (prev2,
-    prev) pair of names, `classes` then `pad`, the compiled pt= pairs of
-    prev followed by the ppt= pairs of prev2+prev, each () when absent.
-    (n+1)**2 lookups of built strings."""
-    names = classes + [pad]
-    return [
-        [rows.get("pt=" + prev, ()) + rows.get("ppt=" + prev2 + "+" + prev, ()) for prev in names]
-        for prev2 in names
-    ]
-
-
 # ------------------------------------------- compiled rows and projectivity
 
 

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from oracles import best_index, history_reference
+from oracles import best_index
 from synth import make_corpus
 
 from udbridge.depparser import (
@@ -20,7 +20,7 @@ from udbridge.errors import DataError
 from udbridge.lemmatizer import LemmaRules
 from udbridge.perceptron import AveragedPerceptron, compile_rows, predict_with
 from udbridge.pipeline import EvalSetting, PipelineModel, annotate
-from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, _table, token_features, train_tagger
+from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, token_features, train_tagger
 from udbridge.tokenizer import tokenize
 
 # Few distinct values, so that equal scores (ties) are common.
@@ -236,31 +236,6 @@ def test_pt_rows_are_added_before_the_ppt_rows():
     got = model.predict(["X"])
     assert got == {attr: reference_tags(model, ["X"], attr) for attr in ATTRIBUTES}
     assert got["upos"] == ["b"]
-
-
-# Class names that split a ppt= key in more than one place, and the pad.
-_HISTORY_NAMES = ("a", "b", "c", "a+b", "b+c", "a+b+c", "+", "a+", "+b", "++", _PAD)
-
-
-def test_history_table_matches_the_quadratic_reference():
-    rng = random.Random(1903)
-    for _ in range(300):
-        classes = rng.sample(_HISTORY_NAMES, rng.randint(1, len(_HISTORY_NAMES)))
-        keys = list(_HISTORY_NAMES) + ["zz", ""]
-        weights = {}
-        for prev in rng.sample(keys, rng.randint(0, len(keys))):
-            weights["pt=" + prev] = {}
-        for _ in range(rng.randint(0, 40)):
-            weights["ppt=" + rng.choice(keys) + "+" + rng.choice(keys)] = {}
-        for extra in ("ppt=a", "ppt=", "ppt=+", "w=a+b", "pt=a+b+c"):
-            if rng.random() < 0.3:
-                weights[extra] = {}
-        targets = classes + ["zz-outside"]
-        for row in weights.values():
-            for cls in rng.sample(targets, rng.randint(0, min(3, len(targets)))):
-                row[cls] = rng.choice(_VALUES)
-        rows, _, history = _table(weights, classes)
-        assert history == history_reference(rows, classes, _PAD)
 
 
 # --------------------------------------- random tables against the references
