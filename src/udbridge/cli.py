@@ -32,7 +32,6 @@ from .evaluation import (
 from .pipeline import (
     EvalSetting,
     PipelineModel,
-    SplitSpec,
     annotate,
     split_corpus,
     train_pipeline,
@@ -43,7 +42,7 @@ from .projection import (
     project_via_pivot,
     serialize_projected,
 )
-from .stats import genre_distribution, report_tsv, split_by_genre
+from .stats import REPORT_COLUMNS, genre_distribution, report_tsv, split_by_genre
 from .tokenizer import TokenizerConfig, load_abbreviations, tokenize
 from .translate import (
     IdentityBackend,
@@ -150,7 +149,7 @@ def cmd_train(args, stdin, stdout, stderr) -> int:
     train_doc = parse_conllu(read_text(args.train))
     dev_doc = None
     if args.split:
-        train_doc, dev_doc, test_doc = split_corpus(train_doc, SplitSpec(seed=args.seed))
+        train_doc, dev_doc, test_doc = split_corpus(train_doc, seed=args.seed)
         if args.test_out:
             write_atomically(args.test_out, serialize_conllu(test_doc))
     elif args.dev:
@@ -371,7 +370,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="corpus statistics reports")
     p.add_argument("input", nargs="?")
-    p.add_argument("--report", required=True, choices=["genres", "upos", "top", "cooc"])
+    p.add_argument("--report", required=True, choices=["genres", *REPORT_COLUMNS])
     p.add_argument("--upos-filter")
     p.add_argument("--min-weight", type=int, default=1)
     p.add_argument("--top-n", type=int, default=10)
@@ -382,7 +381,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bind", help="host:port")
     p.add_argument("--model")
     p.add_argument("--max-bytes", type=int)
-    p.add_argument("--format", choices=["conllu", "tsv", "json"])
+    p.add_argument("--format", choices=list(service.FORMATS))
     p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_serve)
 

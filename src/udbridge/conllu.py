@@ -31,8 +31,10 @@ _KNOWN_COMMENT_KEYS = ("sent_id", "text", "genre")
 class Token:
     """One syntactic word. Unset annotation fields are None (written as "_").
 
-    char_span holds half-open offsets into the sentence text (whitespace
-    excluded from the span). It is derived bookkeeping and excluded from
+    char_span holds the token's half-open character offsets, whitespace
+    excluded: into the input text when tokenize made the token, into the
+    sentence text (Sentence.text()) when the CoNLL-U reader or
+    assign_char_spans set it. It is derived bookkeeping and excluded from
     equality so that round-tripping compares annotation content only.
     """
 

@@ -8,7 +8,6 @@ identically.
 """
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,31 +41,14 @@ class EvalSetting(Enum):
         )
 
 
-@dataclass
-class SplitSpec:
-    """Fixed 80/10/10 split; dev and test each get floor(n/10) sentences."""
-
-    train_fraction: float = 0.8
-    dev_fraction: float = 0.1
-    test_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if abs(self.train_fraction + self.dev_fraction + self.test_fraction - 1.0) > 1e-9:
-            raise DataError("split fractions must sum to 1")
-
-
-def split_corpus(doc: Document, spec: SplitSpec | None = None) -> tuple[Document, Document, Document]:
-    """Shuffle sentences once by seed and cut train/dev/test."""
-    if spec is None:
-        spec = SplitSpec()
+def split_corpus(doc: Document, seed: int = 0) -> tuple[Document, Document, Document]:
+    """Shuffle sentences once by seed; dev and test get floor(n/10) each."""
     n = len(doc.sentences)
     if n < 10:
         raise DataError(f"need at least 10 sentences to split, got {n}")
     order = list(range(n))
-    random.Random(spec.seed).shuffle(order)
-    n_dev = math.floor(n * spec.dev_fraction + 1e-9)
-    n_test = math.floor(n * spec.test_fraction + 1e-9)
+    random.Random(seed).shuffle(order)
+    n_dev = n_test = n // 10
     n_train = n - n_dev - n_test
 
     def take(indices):

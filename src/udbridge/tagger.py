@@ -12,7 +12,7 @@ TaggerModel remembers, per known form, each class's score after those 11
 features, and a decision only adds the rest to a copy. The sums are the
 same float additions in the same order as summing every feature from 0.0,
 so the tags are the same. Those 11 features must stay first, or the memo
-gives different tags. The memo is filled as forms come and never saved.
+gives different tags. A TaggerModel fills its memo as forms come.
 
 The two previous-label features (pt= and ppt=) depend on the model and on
 the two classes just chosen. So each attribute also has a history table,
@@ -20,6 +20,9 @@ built once per model: per (prev2, prev) class index, with the pad at
 index n, the pt= pairs and then the ppt= pairs. A decision adds that entry
 where it added the two rows, and the decoder carries class indices,
 naming them once per sentence.
+
+With dev data, train_tagger scores a TaggerModel of each epoch's averages
+on dev UPOS and returns the best one as it is, as train_parser does.
 """
 
 import random
@@ -65,10 +68,6 @@ def _context_features(forms: list[str], i: int) -> Context:
     return head, _tail(forms[i])
 
 
-def _contexts(forms: list[str]) -> list[Context]:
-    return [_context_features(forms, i) for i in range(len(forms))]
-
-
 def _with_history(context: Context, prev: str, prev2: str) -> list[str]:
     head, tail = context
     return head + ["pt=" + prev, "ppt=" + prev2 + "+" + prev] + tail
@@ -110,73 +109,65 @@ def _table(weights: dict[str, dict[str, float]], classes: list[str]) -> Table:
     return rows, classes, history
 
 
-def _decode(forms: list[str], tables: list[Table], memo: dict) -> list[list[str]]:
-    """Greedy left-to-right tags of `forms`, one list per table.
-
-    `memo` maps a form to what depends on the form alone: per table, the
-    class scores after its form features, then its tail features. A form
-    is looked up there first and added only when some table has a w= row
-    for it, so the memo never outgrows the tables.
-    """
-    known = []
-    for w in forms:
-        entry = memo.get(w)
-        if entry is None:
-            feats = _form_features(w)
-            entry = tuple(
-                tuple(_add_scores(rows, feats, [0.0] * len(classes))) for rows, classes, _ in tables
-            ) + (tuple(_tail(w)),)
-            key = "w=" + w
-            if any(key in rows for rows, _, _ in tables):
-                memo[w] = entry
-        known.append(entry)
-    lowered = [w.lower() for w in forms]
-    pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
-    nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
-    empty = repeat(())
-    out = []
-    for k, (rows, classes, history) in enumerate(tables):
-        get = rows.get
-        prev = prev2 = len(classes)  # the pad
-        tags = []
-        for entry, pw, nw in zip(known, map(get, pws, empty), map(get, nws, empty)):
-            # the loop of _add_scores, inlined: this is the hot path
-            scores = list(entry[k])
-            for pairs in (pw, nw, history[prev2][prev]):
-                for i, w in pairs:
-                    scores[i] += w
-            for feat in entry[-1]:
-                row = get(feat)
-                if row is not None:
-                    for i, w in row:
-                        scores[i] += w
-            prev2, prev = prev, scores.index(max(scores))
-            tags.append(prev)
-        out.append([classes[i] for i in tags])
-    return out
-
-
 @dataclass
 class TaggerModel:
     weights: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
     classes: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # attribute -> its decoding table (_table); never saved
-        self._tables = {
-            attr: _table(self.weights.get(attr, {}), classes)
-            for attr, classes in self.classes.items()
-        }
-        # the _decode memo over ATTRIBUTES; filled as forms come, never
-        # saved. Handler threads share it: a dict get or set is atomic.
+        # each attribute's decoding table (_table), in ATTRIBUTES order
+        self._tables = [
+            _table(self.weights.get(attr, {}), self.classes.get(attr, []))
+            for attr in ATTRIBUTES
+        ]
+        # form -> per table, the class scores after its form features, then
+        # its tail features, for forms some table has a w= row for. Neither
+        # is saved. Handler threads share it: a dict get or set is atomic.
         self._memo: dict[str, tuple] = {}
 
     def predict_attribute(self, forms: list[str], attribute: str) -> list[str]:
         return self.predict(forms)[attribute]
 
     def predict(self, forms: list[str]) -> dict[str, list[str]]:
-        tables = [self._tables[attr] for attr in ATTRIBUTES]
-        return dict(zip(ATTRIBUTES, _decode(forms, tables, self._memo)))
+        """Greedy left-to-right tags of `forms` per attribute."""
+        tables, memo = self._tables, self._memo
+        known = []
+        for w in forms:
+            entry = memo.get(w)
+            if entry is None:
+                feats = _form_features(w)
+                entry = tuple(
+                    tuple(_add_scores(rows, feats, [0.0] * len(classes)))
+                    for rows, classes, _ in tables
+                ) + (tuple(_tail(w)),)
+                key = "w=" + w
+                if any(key in rows for rows, _, _ in tables):
+                    memo[w] = entry
+            known.append(entry)
+        lowered = [w.lower() for w in forms]
+        pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
+        nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
+        empty = repeat(())
+        out = {}
+        for k, (rows, classes, history) in enumerate(tables):
+            get = rows.get
+            prev = prev2 = len(classes)  # the pad
+            tags = []
+            for entry, pw, nw in zip(known, map(get, pws, empty), map(get, nws, empty)):
+                # the loop of _add_scores, inlined: this is the hot path
+                scores = list(entry[k])
+                for pairs in (pw, nw, history[prev2][prev]):
+                    for i, w in pairs:
+                        scores[i] += w
+                for feat in entry[-1]:
+                    row = get(feat)
+                    if row is not None:
+                        for i, w in row:
+                            scores[i] += w
+                prev2, prev = prev, scores.index(max(scores))
+                tags.append(prev)
+            out[ATTRIBUTES[k]] = [classes[i] for i in tags]
+        return out
 
 
 def _gold_labels(doc: Document) -> list[tuple[list[str], dict[str, list[str]]]]:
@@ -231,11 +222,12 @@ def train_tagger(
     order = list(range(len(data)))
 
     best_acc = -1.0
-    best_weights: dict | None = None
+    best = None
     for _epoch in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            contexts = _contexts(data[idx][0])
+            forms = data[idx][0]
+            contexts = [_context_features(forms, i) for i in range(len(forms))]
             for attr in ATTRIBUTES:
                 model = models[attr]
                 names, candidates = classes[attr], every[attr]
@@ -246,22 +238,16 @@ def train_tagger(
                     model.update(truth, guess, feats)
                     prev2, prev = prev, names[guess]
         if dev_data is not None:
-            upos_weights = models["upos"].averaged()
-            snapshot = _table(upos_weights, classes["upos"])
-            memo: dict = {}
+            snapshot = TaggerModel({attr: models[attr].averaged() for attr in ATTRIBUTES}, classes)
             correct = total = 0
             for forms, labels in dev_data:
-                (got_tags,) = _decode(forms, [snapshot], memo)
-                for got, want in zip(got_tags, labels["upos"]):
+                for got, want in zip(snapshot.predict(forms)["upos"], labels["upos"]):
                     correct += got == want
                     total += 1
             acc = correct / total
             if acc > best_acc:
                 best_acc = acc
-                best_weights = {
-                    attr: upos_weights if attr == "upos" else models[attr].averaged()
-                    for attr in ATTRIBUTES
-                }
-    if best_weights is None:
-        best_weights = {attr: models[attr].averaged() for attr in ATTRIBUTES}
-    return TaggerModel(weights=best_weights, classes=classes)
+                best = snapshot
+    if best is None:
+        best = TaggerModel({attr: models[attr].averaged() for attr in ATTRIBUTES}, classes)
+    return best

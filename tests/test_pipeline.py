@@ -13,7 +13,6 @@ from udbridge.lemmatizer import LemmaRules
 from udbridge.pipeline import (
     EvalSetting,
     PipelineModel,
-    SplitSpec,
     annotate,
     split_corpus,
     train_pipeline,
@@ -41,11 +40,6 @@ def test_eval_setting_parse():
 # ---------------------------------------------------------------- splitting
 
 
-def test_split_fractions_must_sum_to_one():
-    with pytest.raises(DataError, match="sum to 1"):
-        SplitSpec(train_fraction=0.8, dev_fraction=0.1, test_fraction=0.2)
-
-
 def test_split_corpus_80_10_10():
     doc = make_corpus(100, seed=4)
     train, dev, test = split_corpus(doc)
@@ -58,10 +52,6 @@ def test_split_corpus_80_10_10():
 def test_split_corpus_floors_fractions():
     train, dev, test = split_corpus(make_corpus(15, seed=0))
     assert (len(train.sentences), len(dev.sentences), len(test.sentences)) == (13, 1, 1)
-
-    third = SplitSpec(train_fraction=1 / 3, dev_fraction=1 / 3, test_fraction=1 / 3)
-    parts = split_corpus(make_corpus(12, seed=0), third)
-    assert [len(p.sentences) for p in parts] == [4, 4, 4]
 
 
 def test_split_corpus_3126_sentences():
@@ -76,11 +66,11 @@ def test_split_corpus_rejects_tiny_corpus():
 
 def test_split_corpus_copies_and_seed():
     doc = make_corpus(30, seed=5)
-    train_a, _, _ = split_corpus(doc, SplitSpec(seed=3))
-    train_b, _, _ = split_corpus(doc, SplitSpec(seed=3))
+    train_a, _, _ = split_corpus(doc, seed=3)
+    train_b, _, _ = split_corpus(doc, seed=3)
     assert [s.sent_id for s in train_a.sentences] == [s.sent_id for s in train_b.sentences]
 
-    train_c, _, _ = split_corpus(doc, SplitSpec(seed=4))
+    train_c, _, _ = split_corpus(doc, seed=4)
     assert [s.sent_id for s in train_a.sentences] != [s.sent_id for s in train_c.sentences]
 
     train_a.sentences[0].tokens[0].form = "mutated"
