@@ -29,14 +29,7 @@ _KNOWN_COMMENT_KEYS = ("sent_id", "text", "genre")
 
 @dataclass
 class Token:
-    """One syntactic word. Unset annotation fields are None (written as "_").
-
-    char_span holds the token's half-open character offsets, whitespace
-    excluded: into the input text when tokenize made the token, into the
-    sentence text (Sentence.text()) when the CoNLL-U reader or
-    assign_char_spans set it. It is derived bookkeeping and excluded from
-    equality so that round-tripping compares annotation content only.
-    """
+    """One syntactic word. Unset annotation fields are None (written as "_")."""
 
     id: int
     form: str
@@ -48,7 +41,6 @@ class Token:
     deprel: str | None = None
     deps: str = "_"
     misc: str = "_"
-    char_span: tuple[int, int] | None = field(default=None, compare=False)
 
     def feats_string(self) -> str:
         if not self.feats:
@@ -81,7 +73,6 @@ class Token:
             deprel=self.deprel,
             deps=self.deps,
             misc=self.misc,
-            char_span=self.char_span,
         )
 
 
@@ -165,12 +156,11 @@ class Sentence:
             i += covered
 
     def text(self) -> str:
-        return _layout(self)[0]
-
-    def assign_char_spans(self) -> None:
-        _, spans = _layout(self)
-        for tok, span in zip(self.tokens, spans):
-            tok.char_span = span
+        """The sentence text, rebuilt from the surface forms and SpaceAfter."""
+        parts: list[str] = []
+        for form, _, space_after in self.surface_units():
+            parts += (form, " " if space_after else "")
+        return "".join(parts[:-1])
 
     def copy(self) -> "Sentence":
         return Sentence(
@@ -198,24 +188,6 @@ class Document:
         return Document(
             sentences=[s.copy() for s in self.sentences], metadata=dict(self.metadata)
         )
-
-
-def _layout(sentence: Sentence) -> tuple[str, list[tuple[int, int]]]:
-    """Reconstruct sentence text from forms + SpaceAfter and give each token
-    its char span. Tokens covered by a multiword range share the range's span."""
-    parts: list[str] = []
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    space = False
-    for form, covered, space_after in sentence.surface_units():
-        if space:
-            parts.append(" ")
-            pos += 1
-        parts.append(form)
-        spans.extend([(pos, pos + len(form))] * covered)
-        pos += len(form)
-        space = space_after
-    return "".join(parts), spans
 
 
 def parse_feats(text: str, line_no: int | None = None) -> dict[str, str]:
@@ -277,7 +249,6 @@ def parse_conllu(text: str) -> Document:
         sent = Sentence(tokens=sent_tokens, ranges=sent_ranges, comments=sent_comments)
         _check_sentence(sent, first_line, token_lines, range_lines)
         sent.fill_header(len(doc.sentences) + 1)
-        sent.assign_char_spans()
         doc.sentences.append(sent)
         sent_tokens, sent_ranges, sent_comments = [], [], []
         token_lines, range_lines = [], []

@@ -22,9 +22,10 @@ summing every feature from 0.0, so the parses are the same. Reordering the
 features changes the parses.
 
 ParserModel also decodes each move once into (kind, label), and parse runs
-arc-standard on plain lists and dicts, not on a _State, picking moves by
-class index. _State, _open_moves and _node_feats stay for training and as
-the reference the tests check parse against.
+arc-standard on plain lists and dicts, picking moves by class index.
+train_parser steps the same plain values (the stack, the next buffer node
+and the leftmost / rightmost child labels) along the static oracle, and
+builds each decision's features with _node_feats.
 """
 
 import random
@@ -93,90 +94,23 @@ def projectivize(heads: list[int]) -> list[int]:
         heads[dep] = heads[heads[dep]]
 
 
-@dataclass
-class _State:
-    n: int
-    stack: list[int] = field(default_factory=lambda: [0])
-    next_buf: int = 1
-    heads: list[int] = field(init=False)
-    deprels: list[str] = field(init=False)
-    # children attached so far per node, for the oracle
-    n_attached: list[int] = field(init=False)
-    # the label of each node's leftmost / rightmost child, for features:
-    # arc-standard attaches a head's new left child left of the ones before
-    # it, and its new right child right of them
-    lc: dict[int, str] = field(default_factory=dict)
-    rc: dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.heads = [0] * (self.n + 1)
-        self.deprels = [_NONE] * (self.n + 1)
-        self.n_attached = [0] * (self.n + 1)
-
-    def buffer_empty(self) -> bool:
-        return self.next_buf > self.n
-
-    def terminal(self) -> bool:
-        return self.buffer_empty() and len(self.stack) == 1
-
-    def add_arc(self, head: int, dep: int, label: str) -> None:
-        self.heads[dep] = head
-        self.deprels[dep] = label
-        self.n_attached[head] += 1
-        (self.lc if dep < head else self.rc)[head] = label
-
-    def apply(self, move: str, root_label: str) -> None:
-        if move == SHIFT:
-            self.stack.append(self.next_buf)
-            self.next_buf += 1
-        elif move.startswith("left:"):
-            s0 = self.stack.pop()
-            s1 = self.stack.pop()
-            self.add_arc(s0, s1, move[5:])
-            self.stack.append(s0)
-        elif move.startswith("right:"):
-            s0 = self.stack.pop()
-            head = self.stack[-1]
-            self.add_arc(head, s0, root_label if head == 0 else move[6:])
-        else:
-            raise DataError(f"unknown transition {move!r}")
-
-
-def _candidates(moves: list[str]) -> tuple[list[int], list[int], list[int]]:
-    """The index lists _open_moves picks from, over sorted `moves` that
-    include shift: every move, the arc moves, and shift only."""
-    arcs = [i for i, move in enumerate(moves) if move != SHIFT]
-    return list(range(len(moves))), arcs, [moves.index(SHIFT)]
-
-
-def _open_moves(state: _State, every, arcs, shift_only):
-    """The moves open in a non-terminal state, as the caller's `every`
-    (shift and all arc moves), `arcs` or `shift_only`; None when only the
-    final attachment to the root is left."""
-    stack = state.stack
-    if state.buffer_empty():
-        return arcs if stack[-2] != 0 else None
-    if len(stack) >= 2 and stack[-2] != 0:
-        return every
-    return shift_only
-
-
 def _padded(values: list[str]) -> list[str]:
     """Node-indexed feature values: the root at 0, the tokens at 1..n, and
     _NONE at n+1 and n+2 for absent nodes and the slots past the buffer."""
     return [_ROOT] + values + [_NONE, _NONE]
 
 
-def _node_feats(state: _State, forms: list[str], tags: list[str]) -> list[str]:
-    """Features of a state; `forms` and `tags` come from _padded()."""
-    s = state.stack
+def _node_feats(
+    s: list[int], b0: int, lc: dict[int, str], rc: dict[int, str],
+    forms: list[str], tags: list[str],
+) -> list[str]:
+    """Features of the state with stack `s`, next buffer node `b0` and the
+    child labels `lc` and `rc`; `forms` and `tags` come from _padded()."""
     depth = len(s)
-    none = state.n + 1
+    none = len(forms) - 2
     s0 = s[-1] if depth > 1 else none
     s1 = s[-2] if depth > 2 else none
     s2 = s[-3] if depth > 3 else none
-    b0 = state.next_buf
-    lc, rc = state.lc, state.rc
     s0w, s0t = forms[s0], tags[s0]
     s1w, s1t = forms[s1], tags[s1]
     b0w, b0t = forms[b0], tags[b0]
@@ -207,18 +141,6 @@ def _node_feats(state: _State, forms: list[str], tags: list[str]) -> list[str]:
     if depth > 2:
         f.append("dist=" + str(min(s0 - s1, 5)))
     return f
-
-
-def oracle_move(state: _State, heads: list[int], deprels: list[str], n_children: list[int]) -> str:
-    if len(state.stack) >= 2:
-        s1, s0 = state.stack[-2], state.stack[-1]
-        if s1 != 0 and heads[s1] == s0:
-            return "left:" + deprels[s1]
-        if heads[s0] == s1 and state.n_attached[s0] == n_children[s0]:
-            return "right:" + deprels[s0]
-    if state.buffer_empty():
-        raise DataError("oracle stuck: tree is not projective")
-    return SHIFT
 
 
 def check_moves(classes: list[str], root_label: str) -> None:
@@ -323,9 +245,9 @@ class ParserModel:
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
         """Greedy parse; returns 1-based heads and deprels per token.
 
-        Runs the transitions of _State.apply, with the moves _open_moves
-        offers, and scores each decision like summing the rows of
-        _node_feats in order (see the module docstring)."""
+        Runs the transitions of train_parser, with the moves open there,
+        and scores each decision like summing the rows of _node_feats in
+        order (see the module docstring)."""
         n = len(forms)
         pforms, ptags = _padded(forms), _padded(tags)
         # the root (node 0) never fills a feature slot
@@ -335,7 +257,9 @@ class ParserModel:
         triples, label_rows, dist_rows = self._triples, self._label_rows, self._dist_rows
         heads = [0] * (n + 1)
         deprels = [_NONE] * (n + 1)
-        # the label of each node's leftmost / rightmost child (see _State)
+        # the label of each node's leftmost / rightmost child: arc-standard
+        # attaches a head's new left child left of the ones before it, and
+        # its new right child right of them
         lc: dict[int, str] = {}
         rc: dict[int, str] = {}
         stack = [0]
@@ -461,7 +385,11 @@ def train_parser(
     )
     labels = sorted(label_set) if label_set else ["dep"]
     classes = sorted([SHIFT] + [f"left:{l}" for l in labels] + [f"right:{l}" for l in labels])
-    every, arcs, shift_only = _candidates(classes)
+    # shift sorts after every arc move (see check_moves)
+    shift = len(classes) - 1
+    arcs = list(range(shift))
+    every = arcs + [shift]
+    dev_data = [_sentence_arrays(sent)[:3] for sent in dev.sentences] if dev is not None else []
 
     model = AveragedPerceptron(classes)
     rng = random.Random(seed)
@@ -473,26 +401,61 @@ def train_parser(
         rng.shuffle(order)
         for idx in order:
             forms, tags, heads, deprels = data[idx]
-            n_children = [0] * (len(heads))
-            for d in range(1, len(heads)):
+            n = len(forms)
+            n_children = [0] * (n + 1)
+            for d in range(1, n + 1):
                 n_children[heads[d]] += 1
-            state = _State(n=len(forms))
+            n_attached = [0] * (n + 1)  # children attached so far per node
             pforms, ptags = _padded(forms), _padded(tags)
-            while not state.terminal():
-                truth = oracle_move(state, heads, deprels, n_children)
-                open_moves = _open_moves(state, every, arcs, shift_only)
-                if open_moves is not None:
-                    feats = _node_feats(state, pforms, ptags)
-                    guess = model.predict(feats, open_moves)
+            lc: dict[int, str] = {}
+            rc: dict[int, str] = {}
+            stack = [0]
+            b0 = 1
+            while b0 <= n or len(stack) > 1:
+                depth = len(stack)
+                s0 = stack[-1]
+                s1 = stack[-2] if depth > 1 else 0
+                # the static oracle: attach s1 to s0, or s0 to s1 once s0
+                # has all its children, else shift
+                if s1 and heads[s1] == s0:
+                    truth = "left:" + deprels[s1]
+                elif depth > 1 and heads[s0] == s1 and n_attached[s0] == n_children[s0]:
+                    truth = "right:" + deprels[s0]
+                elif b0 <= n:
+                    truth = SHIFT
+                else:
+                    raise DataError("oracle stuck: tree is not projective")
+                # Every state but the final attachment to the root is a
+                # decision and ticks the perceptron.
+                if depth > 2:
+                    feats = _node_feats(stack, b0, lc, rc, pforms, ptags)
+                    guess = model.predict(feats, every if b0 <= n else arcs)
                     model.update(model.index(truth), guess, feats)
-                state.apply(truth, root_label)
-        if dev is not None and dev.sentences:
+                elif truth == SHIFT:
+                    model.update(shift, shift, ())
+                elif b0 <= n:
+                    # Only shift is open, yet the oracle attaches s0 to the
+                    # root: projectivize can leave several root children.
+                    feats = _node_feats(stack, b0, lc, rc, pforms, ptags)
+                    model.update(model.index(truth), shift, feats)
+                if truth == SHIFT:
+                    stack.append(b0)
+                    b0 += 1
+                elif truth.startswith("left:"):
+                    stack.pop()
+                    stack[-1] = s0
+                    n_attached[s0] += 1
+                    lc[s0] = deprels[s1]
+                else:
+                    stack.pop()
+                    n_attached[s1] += 1
+                    rc[s1] = deprels[s0]
+        if dev_data:
             snapshot = ParserModel(
                 weights=model.averaged(), classes=classes, labels=labels, root_label=root_label
             )
             correct = total = 0
-            for sent in dev.sentences:
-                forms, tags, gold_heads, _ = _sentence_arrays(sent)
+            for forms, tags, gold_heads in dev_data:
                 got_heads, _ = snapshot.parse(forms, tags)
                 for d in range(len(forms)):
                     correct += got_heads[d] == gold_heads[d + 1]

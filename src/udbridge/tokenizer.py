@@ -6,8 +6,7 @@ A sentence ends after a terminator token (./!/?/ellipsis) that is followed
 by whitespace plus an uppercase letter, or by end of input. Listed
 abbreviations keep their trailing period and never end a sentence.
 
-Every non-whitespace character of the input lands in exactly one token, and
-each token records the half-open char span it came from.
+Every non-whitespace character of the input lands in exactly one token.
 """
 
 from dataclasses import dataclass, field
@@ -93,8 +92,8 @@ def _split_chunk(chunk: str, start: int, cfg: TokenizerConfig) -> list[tuple[str
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> Document:
     """Tokenize raw text into an unannotated Document.
 
-    Sentences get sequential sent_ids; tokens carry char spans into `text`
-    and SpaceAfter=No where the next token starts immediately.
+    Sentences get sequential sent_ids; tokens carry SpaceAfter=No where the
+    next token starts immediately.
     """
     if cfg is None:
         cfg = TokenizerConfig()
@@ -105,10 +104,10 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> Document:
         if not pieces:
             return
         tokens = []
-        for idx, (form, begin, end) in enumerate(pieces, start=1):
+        for idx, (form, _, end) in enumerate(pieces, start=1):
             nxt = pieces[idx] if idx < len(pieces) else None
             misc = "SpaceAfter=No" if nxt is not None and nxt[1] == end else "_"
-            tokens.append(Token(id=idx, form=form, misc=misc, char_span=(begin, end)))
+            tokens.append(Token(id=idx, form=form, misc=misc))
         sent = Sentence(tokens=tokens)
         sent.fill_header(len(doc.sentences) + 1)
         doc.sentences.append(sent)

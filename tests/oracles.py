@@ -4,12 +4,20 @@ Everything here is deliberately written from the underlying definitions
 with different data structures than the library (dense tables, exact
 rationals, plain token loops) so that agreement between the two is
 meaningful evidence rather than the same code run twice. It also holds
-two helpers that only the tests call: an argmax over compiled weight rows
-and a projectivity check.
+helpers that only the tests call (an argmax over compiled weight rows, a
+projectivity check, a sentence's character spans) and the arc-standard
+state machine, a _State stepped along oracle_move, that the parser's
+plain-list training and parsing are checked against.
 """
 
 import math
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+from udbridge.depparser import SHIFT, _NONE, _node_feats, _padded, _sentence_arrays, projectivize
+from udbridge.errors import DataError
+from udbridge.perceptron import AveragedPerceptron
 
 # --------------------------------------------------------- Fisher's exact
 
@@ -182,6 +190,153 @@ def is_projective(heads: list[int]) -> bool:
             if not lo <= heads[k] <= hi:
                 return False
     return True
+
+
+# ----------------------------------------------------- arc-standard state
+
+
+@dataclass
+class _State:
+    n: int
+    stack: list[int] = field(default_factory=lambda: [0])
+    next_buf: int = 1
+    heads: list[int] = field(init=False)
+    deprels: list[str] = field(init=False)
+    # children attached so far per node, for the oracle
+    n_attached: list[int] = field(init=False)
+    # the label of each node's leftmost / rightmost child, for features:
+    # arc-standard attaches a head's new left child left of the ones before
+    # it, and its new right child right of them
+    lc: dict[int, str] = field(default_factory=dict)
+    rc: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.heads = [0] * (self.n + 1)
+        self.deprels = [_NONE] * (self.n + 1)
+        self.n_attached = [0] * (self.n + 1)
+
+    def buffer_empty(self) -> bool:
+        return self.next_buf > self.n
+
+    def terminal(self) -> bool:
+        return self.buffer_empty() and len(self.stack) == 1
+
+    def add_arc(self, head: int, dep: int, label: str) -> None:
+        self.heads[dep] = head
+        self.deprels[dep] = label
+        self.n_attached[head] += 1
+        (self.lc if dep < head else self.rc)[head] = label
+
+    def apply(self, move: str, root_label: str) -> None:
+        if move == SHIFT:
+            self.stack.append(self.next_buf)
+            self.next_buf += 1
+        elif move.startswith("left:"):
+            s0 = self.stack.pop()
+            s1 = self.stack.pop()
+            self.add_arc(s0, s1, move[5:])
+            self.stack.append(s0)
+        elif move.startswith("right:"):
+            s0 = self.stack.pop()
+            head = self.stack[-1]
+            self.add_arc(head, s0, root_label if head == 0 else move[6:])
+        else:
+            raise DataError(f"unknown transition {move!r}")
+
+
+def _candidates(moves: list[str]) -> tuple[list[int], list[int], list[int]]:
+    """The index lists _open_moves picks from, over sorted `moves` that
+    include shift: every move, the arc moves, and shift only."""
+    arcs = [i for i, move in enumerate(moves) if move != SHIFT]
+    return list(range(len(moves))), arcs, [moves.index(SHIFT)]
+
+
+def _open_moves(state: _State, every, arcs, shift_only):
+    """The moves open in a non-terminal state, as the caller's `every`
+    (shift and all arc moves), `arcs` or `shift_only`; None when only the
+    final attachment to the root is left."""
+    stack = state.stack
+    if state.buffer_empty():
+        return arcs if stack[-2] != 0 else None
+    if len(stack) >= 2 and stack[-2] != 0:
+        return every
+    return shift_only
+
+
+def oracle_move(state: _State, heads: list[int], deprels: list[str], n_children: list[int]) -> str:
+    if len(state.stack) >= 2:
+        s1, s0 = state.stack[-2], state.stack[-1]
+        if s1 != 0 and heads[s1] == s0:
+            return "left:" + deprels[s1]
+        if heads[s0] == s1 and state.n_attached[s0] == n_children[s0]:
+            return "right:" + deprels[s0]
+    if state.buffer_empty():
+        raise DataError("oracle stuck: tree is not projective")
+    return SHIFT
+
+
+def reference_train_parser(doc, epochs: int, seed: int) -> dict[str, dict[str, float]]:
+    """The averaged weights of train_parser(doc, epochs=epochs, seed=seed)
+    without dev data, trained by stepping a _State along oracle_move: the
+    same projectivized trees, classes, root label and shuffles."""
+    data = []
+    root_counts: dict[str, int] = {}
+    label_set: set[str] = set()
+    for sent in doc.sentences:
+        forms, tags, heads, deprels = _sentence_arrays(sent)
+        heads = projectivize(heads)
+        for dep in range(1, len(heads)):
+            if heads[dep] == 0:
+                root_counts[deprels[dep]] = root_counts.get(deprels[dep], 0) + 1
+            else:
+                label_set.add(deprels[dep])
+        data.append((forms, tags, heads, deprels))
+    root_label = min(root_counts, key=lambda lab: (-root_counts[lab], lab), default="root")
+    labels = sorted(label_set) if label_set else ["dep"]
+    classes = sorted([SHIFT] + [f"left:{l}" for l in labels] + [f"right:{l}" for l in labels])
+    every, arcs, shift_only = _candidates(classes)
+
+    model = AveragedPerceptron(classes)
+    rng = random.Random(seed)
+    order = list(range(len(data)))
+    for _epoch in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            forms, tags, heads, deprels = data[idx]
+            n_children = [0] * (len(heads))
+            for d in range(1, len(heads)):
+                n_children[heads[d]] += 1
+            state = _State(n=len(forms))
+            pforms, ptags = _padded(forms), _padded(tags)
+            while not state.terminal():
+                truth = oracle_move(state, heads, deprels, n_children)
+                open_moves = _open_moves(state, every, arcs, shift_only)
+                if open_moves is not None:
+                    feats = _node_feats(state.stack, state.next_buf, state.lc, state.rc,
+                                        pforms, ptags)
+                    guess = model.predict(feats, open_moves)
+                    model.update(model.index(truth), guess, feats)
+                state.apply(truth, root_label)
+    return model.averaged()
+
+
+# ------------------------------------------------------ character spans
+
+
+def char_spans(sentence) -> list[tuple[int, int]]:
+    """Each token's half-open character offsets into sentence.text(): the
+    place of its surface unit, found by searching the text for the units in
+    turn and shared by the words of a multiword range."""
+    text = sentence.text()
+    spans: list[tuple[int, int]] = []
+    pos = 0
+    for form, covered, _ in sentence.surface_units():
+        start = text.index(form, pos)
+        assert start - pos <= 1, (text, form)  # at most one space between units
+        pos = start + len(form)
+        spans += [(start, pos)] * covered
+    assert pos == len(text)
+    return spans
 
 
 # ------------------------------------------------------ accuracy counting

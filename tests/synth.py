@@ -166,7 +166,6 @@ def make_sentence(rng: random.Random, sent_id: str, genre: str | None = None) ->
     if genre is not None:
         sent.genre = genre
     sent._set_comment("text", sent.text())
-    sent.assign_char_spans()
     return sent
 
 
@@ -176,6 +175,24 @@ def make_corpus(n: int, seed: int = 0, genres: tuple[str, ...] | None = None) ->
     for i in range(n):
         genre = genres[i % len(genres)] if genres else None
         doc.sentences.append(make_sentence(rng, f"synth-{i + 1}", genre))
+    return doc
+
+
+def _crossing_corpus(n: int, seed: int) -> Document:
+    """make_corpus with every third sentence re-attached as a random tree,
+    so that arcs cross and some projectivized trees have several roots
+    (which is where the parser's right:root weights come from)."""
+    doc = make_corpus(n, seed=seed)
+    rng = random.Random(seed)
+    for sent in doc.sentences[::3]:
+        order = [t.id for t in sent.tokens]
+        rng.shuffle(order)
+        heads = {order[0]: 0}
+        for i, node in enumerate(order[1:], 1):
+            heads[node] = rng.choice(order[:i])
+        for tok in sent.tokens:
+            tok.head = heads[tok.id]
+            tok.deprel = "root" if tok.head == 0 else tok.deprel if tok.deprel != "root" else "dep"
     return doc
 
 
@@ -269,7 +286,6 @@ def random_sentence(rng: random.Random, sent_id: str) -> Sentence:
     if rng.random() < 0.3:
         sent.comments.append((None, "# source = synthetic"))
     sent._set_comment("text", sent.text())
-    sent.assign_char_spans()
     return sent
 
 

@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from oracles import is_projective
-from synth import make_corpus
+from oracles import _State, is_projective, oracle_move, reference_train_parser
+from synth import _crossing_corpus, make_corpus
 from udbridge.conllu import parse_conllu
 from udbridge.depparser import (
     SHIFT,
     ParserModel,
-    _State,
-    oracle_move,
     projectivize,
     train_parser,
     validate_tree,
 )
 from udbridge.errors import DataError
+from udbridge.perceptron import AveragedPerceptron
 
 
 def sent_from(rows: list[str]):
@@ -342,6 +341,42 @@ def test_train_parser_input_validation():
         odd.sentences[1].tokens[0].deprel = deprel
         with pytest.raises(DataError, match=f"synth-2: token 1 has DEPREL {deprel!r}"):
             train_parser(odd, epochs=1)
+
+
+def test_train_parser_checks_the_dev_data_before_training(monkeypatch):
+    updates = []
+    real_update = AveragedPerceptron.update
+
+    def counted_update(self, *args):
+        updates.append(args)
+        real_update(self, *args)
+
+    monkeypatch.setattr(AveragedPerceptron, "update", counted_update)
+    dev = make_corpus(10, seed=2)
+    dev.sentences[-1].tokens[0].upos = None
+    with pytest.raises(DataError, match="synth-10: token 1 .* has no upos"):
+        train_parser(make_corpus(40, seed=1), dev=dev, epochs=2)
+    assert updates == []
+    train_parser(make_corpus(4, seed=1), epochs=1)
+    assert updates
+
+
+def test_train_parser_matches_the_state_machine_reference():
+    # The crossing corpora hold trees that projectivize leaves with several
+    # root children, where the oracle attaches to the root while only shift
+    # is open.
+    several_roots = 0
+    for make, seed, epochs in [(make_corpus, s, 1 + s % 3) for s in range(6)] + [
+        (_crossing_corpus, s, 2) for s in range(6)
+    ]:
+        doc = make(30, seed)
+        several_roots += sum(
+            projectivize([0] + [t.head for t in sent.tokens]).count(0) > 2
+            for sent in doc.sentences
+        )
+        model = train_parser(doc, epochs=epochs, seed=seed + 5)
+        assert model.weights == reference_train_parser(doc, epochs, seed + 5)
+    assert several_roots > 0
 
 
 def test_train_parser_refuses_an_unset_deprel():

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from oracles import brute_token_scores, fisher_exact_fraction
+from oracles import brute_token_scores, char_spans, fisher_exact_fraction
 from synth import make_corpus, random_document
 from udbridge.conllu import parse_conllu
 from udbridge.errors import DataError
@@ -169,10 +169,9 @@ def test_flattened_spans_strip_the_whitespace_of_char_spans():
     for i in range(40):
         doc = random_document(rng, f"f{i}")
         words, _, chars = _flatten(doc)
-        tokens = [(sent.text(), tok) for sent in doc.sentences for tok in sent.tokens]
+        tokens = [(sent.text(), span) for sent in doc.sentences for span in char_spans(sent)]
         assert len(words) == len(tokens)
-        for word, (text, tok) in zip(words, tokens):
-            start, end = tok.char_span
+        for word, (text, (start, end)) in zip(words, tokens):
             surface = "".join(text[start:end].split())
             assert word.span[1] - word.span[0] == len(surface)
             assert chars[word.span[0] : word.span[1]] == surface

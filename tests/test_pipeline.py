@@ -1,11 +1,10 @@
 import hashlib
 import json
 import os
-import random
 
 import pytest
 
-from synth import corpus_text, make_corpus, strip_annotations
+from synth import _crossing_corpus, corpus_text, make_corpus, strip_annotations
 from udbridge.conllu import parse_conllu, serialize_conllu
 from udbridge.depparser import ParserModel
 from udbridge.errors import DataError
@@ -126,24 +125,6 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(model, tmp_path,
         unsaveable.save(str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
-
-
-def _crossing_corpus(n: int, seed: int):
-    """make_corpus with every third sentence re-attached as a random tree,
-    so that arcs cross and some projectivized trees have several roots
-    (which is where the parser's right:root weights come from)."""
-    doc = make_corpus(n, seed=seed)
-    rng = random.Random(seed)
-    for sent in doc.sentences[::3]:
-        order = [t.id for t in sent.tokens]
-        rng.shuffle(order)
-        heads = {order[0]: 0}
-        for i, node in enumerate(order[1:], 1):
-            heads[node] = rng.choice(order[:i])
-        for tok in sent.tokens:
-            tok.head = heads[tok.id]
-            tok.deprel = "root" if tok.head == 0 else tok.deprel if tok.deprel != "root" else "dep"
-    return doc
 
 
 # SHA-256 of the saved model bytes; a faster trainer must not move them.

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from oracles import best_index
+from oracles import _State, best_index
 from synth import make_corpus
 
 from udbridge.depparser import (
@@ -13,7 +13,6 @@ from udbridge.depparser import (
     ParserModel,
     _node_feats,
     _padded,
-    _State,
     train_parser,
 )
 from udbridge.errors import DataError
@@ -134,7 +133,8 @@ def reference_parse(model: ParserModel, forms: list[str], tags: list[str]):
         if len(moves) == 1:
             move = moves[0]
         else:
-            move = predict_with(model.weights, _node_feats(state, pforms, ptags), sorted(moves))
+            feats = _node_feats(state.stack, state.next_buf, state.lc, state.rc, pforms, ptags)
+            move = predict_with(model.weights, feats, sorted(moves))
         state.apply(move, model.root_label)
     return state.heads[1:], state.deprels[1:]
 

@@ -68,15 +68,6 @@ def test_interior_punctuation_stays_inside():
     assert "knap-moaie" in forms(doc)[0]
 
 
-def test_char_spans_point_into_input():
-    text = "  «Moai!»  sei  sy. "
-    doc = tokenize(text)
-    for sent in doc.sentences:
-        for tok in sent.tokens:
-            begin, end = tok.char_span
-            assert text[begin:end] == tok.form
-
-
 def test_every_nonspace_char_lands_in_exactly_one_token():
     rng = random.Random(7)
     alphabet = "ab ûê .,?!()«»…  AB\n\tc"
