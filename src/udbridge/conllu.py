@@ -233,47 +233,39 @@ def parse_conllu(text: str) -> Document:
     bad UPOS values, duplicate sent_ids.
     """
     doc = Document()
-    sent_tokens: list[Token] = []
-    sent_ranges: list[MultiwordRange] = []
-    sent_comments: list[tuple[str | None, str]] = []
+    block: list[tuple[int, str]] = []
+    # a blank line after the last one closes the final block
+    for line_no, raw in enumerate([*text.split("\n"), ""], start=1):
+        line = raw.rstrip("\r")
+        if line.strip():
+            block.append((line_no, line))
+        elif block:
+            sent = _parse_block(block)
+            sent.fill_header(len(doc.sentences) + 1)
+            doc.sentences.append(sent)
+            block = []
+    _check_document(doc)
+    return doc
+
+
+def _parse_block(block: list[tuple[int, str]]) -> Sentence:
+    """One sentence from the (line number, line) pairs of a block of
+    non-blank lines; each error names the first bad line in file order."""
+    tokens: list[Token] = []
+    ranges: list[MultiwordRange] = []
+    comments: list[tuple[str | None, str]] = []
     token_lines: list[int] = []
     range_lines: list[int] = []
-    first_line = 0
-
-    def flush(end_line: int) -> None:
-        nonlocal sent_tokens, sent_ranges, sent_comments, token_lines, range_lines
-        if not sent_tokens and not sent_comments and not sent_ranges:
-            return
-        if not sent_tokens:
-            raise ConlluParseError("comment block without token lines", first_line)
-        sent = Sentence(tokens=sent_tokens, ranges=sent_ranges, comments=sent_comments)
-        _check_sentence(sent, first_line, token_lines, range_lines)
-        sent.fill_header(len(doc.sentences) + 1)
-        doc.sentences.append(sent)
-        sent_tokens, sent_ranges, sent_comments = [], [], []
-        token_lines, range_lines = [], []
-
-    all_lines = text.split("\n")
-    for line_no, raw in enumerate(all_lines, start=1):
-        line = raw.rstrip("\r")
-        if line.strip() == "":
-            flush(line_no)
-            continue
+    for line_no, line in block:
         # a file is read with universal newlines, where "\r" ends a line
         if "\r" in line:
             raise ConlluParseError("carriage return inside the line", line_no)
-        if not sent_tokens and not sent_comments and not sent_ranges:
-            first_line = line_no
         if line.startswith("#"):
-            if sent_tokens:
+            if tokens:
                 raise ConlluParseError("comment after token lines", line_no)
-            body = line[1:].strip()
-            key, sep, value = body.partition("=")
-            key = key.strip()
-            if sep and key in _KNOWN_COMMENT_KEYS:
-                sent_comments.append((key, value.strip()))
-            else:
-                sent_comments.append((None, line))
+            key, sep, value = line[1:].partition("=")
+            known = sep and key.strip() in _KNOWN_COMMENT_KEYS
+            comments.append((key.strip(), value.strip()) if known else (None, line))
             continue
         cols = line.split("\t")
         if len(cols) != 10:
@@ -292,7 +284,7 @@ def parse_conllu(text: str) -> Document:
                     raise ValidationError(
                         f"range line must leave {name} unset, got {col!r}", line_no
                     )
-            sent_ranges.append(MultiwordRange(int(lo), int(hi), form, misc))
+            ranges.append(MultiwordRange(int(lo), int(hi), form, misc))
             range_lines.append(line_no)
             continue
         if not tok_id.isdigit():
@@ -301,7 +293,7 @@ def parse_conllu(text: str) -> Document:
             raise ValidationError(f"unknown UPOS tag {upos!r}", line_no)
         if head != "_" and not head.isdigit():
             raise ConlluParseError(f"malformed HEAD {head!r}", line_no)
-        sent_tokens.append(
+        tokens.append(
             Token(
                 id=int(tok_id),
                 form=form,
@@ -316,9 +308,12 @@ def parse_conllu(text: str) -> Document:
             )
         )
         token_lines.append(line_no)
-    flush(len(all_lines) + 1)
-    _check_document(doc)
-    return doc
+    first_line = block[0][0]
+    if not tokens:
+        raise ConlluParseError("comment block without token lines", first_line)
+    sent = Sentence(tokens=tokens, ranges=ranges, comments=comments)
+    _check_sentence(sent, first_line, token_lines, range_lines)
+    return sent
 
 
 def _check_sentence(

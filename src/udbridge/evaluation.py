@@ -251,6 +251,7 @@ def cross_validate(
     forked child: only the reports come back from it.
     """
     plan = build_cv_plan(len(corpus.sentences), k, seed)
+    settings = tuple(dict.fromkeys(settings))  # a repeated setting is scored once
 
     def doc_for(set_numbers: list[int]) -> Document:
         indices = [idx for no in set_numbers for idx in plan.sets[no - 1]]
@@ -382,6 +383,8 @@ def bootstrap_median_compare(
         raise DataError("bootstrap needs at least 5 values per sample")
     if iterations < 1000:
         raise DataError("bootstrap needs at least 1000 iterations")
+    if not all(math.isfinite(v) for v in (*a, *b)):
+        raise DataError("bootstrap needs finite values")
     rng = random.Random(seed)
     diffs = []
     for _ in range(iterations):

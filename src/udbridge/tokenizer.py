@@ -2,9 +2,11 @@
 
 Whitespace separates chunks; configured punctuation is peeled off chunk
 edges; interior punctuation (hyphens, apostrophes) stays inside the token.
-A sentence ends after a terminator token (./!/?/ellipsis) that is followed
-by whitespace plus an uppercase letter, or by end of input. Listed
-abbreviations keep their trailing period and never end a sentence.
+Every token but the last one of its chunk is followed by no space
+(SpaceAfter=No). A sentence ends after a chunk whose last token is a
+terminator (./!/?/ellipsis) when the next chunk starts with an uppercase
+letter, and at the end of the input. Listed abbreviations keep their
+trailing period and never end a sentence.
 
 Every non-whitespace character of the input lands in exactly one token.
 """
@@ -51,40 +53,29 @@ def _is_terminator(token: str, cfg: TokenizerConfig) -> bool:
     return len(token) >= 2 and set(token) == {"."}
 
 
-def _split_chunk(chunk: str, start: int, cfg: TokenizerConfig) -> list[tuple[str, int, int]]:
-    """Split one whitespace-free chunk into (text, begin, end) tokens."""
-    out: list[tuple[str, int, int]] = []
-    end = start + len(chunk)
+def _split_chunk(chunk: str, cfg: TokenizerConfig) -> list[str]:
+    """Split one whitespace-free chunk into its token strings."""
+    out: list[str] = []
 
     # Peel leading punctuation.
     while len(chunk) > 1 and chunk[0] in cfg.punctuation and chunk[0] != ".":
-        out.append((chunk[0], start, start + 1))
+        out.append(chunk[0])
         chunk = chunk[1:]
-        start += 1
 
-    # Peel trailing punctuation, collected in reverse.
-    tail: list[tuple[str, int, int]] = []
-    while len(chunk) > 1:
-        if chunk in cfg.abbreviations:
-            break
+    # Peel trailing punctuation, collected in reverse; a trailing period run
+    # stays one ellipsis-like token.
+    tail: list[str] = []
+    while len(chunk) > 1 and chunk not in cfg.abbreviations:
         last = chunk[-1]
         if last not in cfg.punctuation:
             break
-        if last == ".":
-            # Group a trailing period run into one ellipsis-like token.
-            run = len(chunk) - len(chunk.rstrip("."))
-            if run >= len(chunk):
-                break
-            tail.append((chunk[-run:], end - run, end))
-            chunk = chunk[:-run]
-            end -= run
-        else:
-            tail.append((last, end - 1, end))
-            chunk = chunk[:-1]
-            end -= 1
+        run = len(chunk) - len(chunk.rstrip(".")) if last == "." else 1
+        if run >= len(chunk):
+            break
+        tail.append(chunk[-run:])
+        chunk = chunk[:-run]
 
-    if chunk:
-        out.append((chunk, start, end))
+    out.append(chunk)
     out.extend(reversed(tail))
     return out
 
@@ -92,51 +83,24 @@ def _split_chunk(chunk: str, start: int, cfg: TokenizerConfig) -> list[tuple[str
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> Document:
     """Tokenize raw text into an unannotated Document.
 
-    Sentences get sequential sent_ids; tokens carry SpaceAfter=No where the
-    next token starts immediately.
+    Sentences get sequential sent_ids; every token but the last one of its
+    whitespace chunk carries SpaceAfter=No.
     """
     if cfg is None:
         cfg = TokenizerConfig()
     doc = Document()
-    pieces: list[tuple[str, int, int]] = []
-
-    def close_sentence() -> None:
-        if not pieces:
-            return
-        tokens = []
-        for idx, (form, _, end) in enumerate(pieces, start=1):
-            nxt = pieces[idx] if idx < len(pieces) else None
-            misc = "SpaceAfter=No" if nxt is not None and nxt[1] == end else "_"
-            tokens.append(Token(id=idx, form=form, misc=misc))
-        sent = Sentence(tokens=tokens)
-        sent.fill_header(len(doc.sentences) + 1)
-        doc.sentences.append(sent)
-        pieces.clear()
-
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        chunk = text[i:j]
-        parts = _split_chunk(chunk, i, cfg)
-        for k, (form, begin, end) in enumerate(parts):
-            pieces.append((form, begin, end))
-            is_last_in_chunk = k == len(parts) - 1
-            if not is_last_in_chunk or not _is_terminator(form, cfg):
-                continue
-            if form in cfg.abbreviations:
-                continue
-            # Boundary: terminator then whitespace + uppercase, or end of input.
-            nxt = j
-            while nxt < n and text[nxt].isspace():
-                nxt += 1
-            if nxt >= n or (nxt > j and text[nxt].isupper()):
-                close_sentence()
-        i = j
-    close_sentence()
+    tokens: list[Token] = []
+    chunks = text.split()
+    for chunk, nxt in zip(chunks, [*chunks[1:], ""]):
+        parts = _split_chunk(chunk, cfg)
+        for form in parts[:-1]:
+            tokens.append(Token(id=len(tokens) + 1, form=form, misc="SpaceAfter=No"))
+        last = parts[-1]
+        tokens.append(Token(id=len(tokens) + 1, form=last))
+        ends = _is_terminator(last, cfg) and last not in cfg.abbreviations
+        if not nxt or (ends and nxt[0].isupper()):
+            sent = Sentence(tokens=tokens)
+            sent.fill_header(len(doc.sentences) + 1)
+            doc.sentences.append(sent)
+            tokens = []
     return doc

@@ -5,9 +5,10 @@ with different data structures than the library (dense tables, exact
 rationals, plain token loops) so that agreement between the two is
 meaningful evidence rather than the same code run twice. It also holds
 helpers that only the tests call (an argmax over compiled weight rows, a
-projectivity check, a sentence's character spans) and the arc-standard
-state machine, a _State stepped along oracle_move, that the parser's
-plain-list training and parsing are checked against.
+projectivity check, a sentence's character spans), the tokenizer written
+over character offsets, and the arc-standard state machine, a _State
+stepped along oracle_move, that the parser's plain-list training and
+parsing are checked against.
 """
 
 import math
@@ -15,9 +16,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from udbridge.conllu import Document, Sentence, Token
 from udbridge.depparser import SHIFT, _NONE, _node_feats, _padded, _sentence_arrays, projectivize
 from udbridge.errors import DataError
 from udbridge.perceptron import AveragedPerceptron
+from udbridge.tokenizer import TokenizerConfig
 
 # --------------------------------------------------------- Fisher's exact
 
@@ -337,6 +340,103 @@ def char_spans(sentence) -> list[tuple[int, int]]:
         spans += [(start, pos)] * covered
     assert pos == len(text)
     return spans
+
+
+# ------------------------------------------------------------- tokenizer
+
+
+def _reference_is_terminator(token: str, cfg) -> bool:
+    if token in cfg.terminators or token == "…":
+        return True
+    return len(token) >= 2 and set(token) == {"."}
+
+
+def _reference_split_chunk(chunk: str, start: int, cfg) -> list[tuple[str, int, int]]:
+    """Split one whitespace-free chunk into (text, begin, end) tokens."""
+    out: list[tuple[str, int, int]] = []
+    end = start + len(chunk)
+
+    # Peel leading punctuation.
+    while len(chunk) > 1 and chunk[0] in cfg.punctuation and chunk[0] != ".":
+        out.append((chunk[0], start, start + 1))
+        chunk = chunk[1:]
+        start += 1
+
+    # Peel trailing punctuation, collected in reverse.
+    tail: list[tuple[str, int, int]] = []
+    while len(chunk) > 1:
+        if chunk in cfg.abbreviations:
+            break
+        last = chunk[-1]
+        if last not in cfg.punctuation:
+            break
+        if last == ".":
+            # Group a trailing period run into one ellipsis-like token.
+            run = len(chunk) - len(chunk.rstrip("."))
+            if run >= len(chunk):
+                break
+            tail.append((chunk[-run:], end - run, end))
+            chunk = chunk[:-run]
+            end -= run
+        else:
+            tail.append((last, end - 1, end))
+            chunk = chunk[:-1]
+            end -= 1
+
+    if chunk:
+        out.append((chunk, start, end))
+    out.extend(reversed(tail))
+    return out
+
+
+def reference_tokenize(text: str, cfg=None) -> Document:
+    """The tokenizer written over character offsets: the input is scanned one
+    character at a time, each piece keeps its (form, begin, end) place, a
+    token gets SpaceAfter=No when the next piece of its sentence begins where
+    it ends, and a sentence ends after a terminator that is followed by
+    whitespace plus an uppercase letter, or by the end of the input."""
+    if cfg is None:
+        cfg = TokenizerConfig()
+    doc = Document()
+    pieces: list[tuple[str, int, int]] = []
+
+    def close_sentence() -> None:
+        if not pieces:
+            return
+        tokens = []
+        for idx, (form, _, end) in enumerate(pieces, start=1):
+            nxt = pieces[idx] if idx < len(pieces) else None
+            misc = "SpaceAfter=No" if nxt is not None and nxt[1] == end else "_"
+            tokens.append(Token(id=idx, form=form, misc=misc))
+        sent = Sentence(tokens=tokens)
+        sent.fill_header(len(doc.sentences) + 1)
+        doc.sentences.append(sent)
+        pieces.clear()
+
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        parts = _reference_split_chunk(text[i:j], i, cfg)
+        for k, (form, begin, end) in enumerate(parts):
+            pieces.append((form, begin, end))
+            if k < len(parts) - 1 or not _reference_is_terminator(form, cfg):
+                continue
+            if form in cfg.abbreviations:
+                continue
+            nxt = j
+            while nxt < n and text[nxt].isspace():
+                nxt += 1
+            if nxt >= n or (nxt > j and text[nxt].isupper()):
+                close_sentence()
+        i = j
+    close_sentence()
+    return doc
 
 
 # ------------------------------------------------------ accuracy counting

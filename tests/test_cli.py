@@ -88,6 +88,12 @@ def test_bootstrap_bad_list_is_usage_error():
     assert code == 1 and "usage error" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_bootstrap_non_finite_value_is_a_data_error(bad):
+    code, out, err = run(["bootstrap", "--a", f"1,2,3,4,{bad}", "--b", "1,2,3,4,5"])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- tokenize
 
 

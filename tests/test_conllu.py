@@ -117,6 +117,23 @@ def test_a_carriage_return_inside_a_line_is_refused(lines):
     # a trailing "\r", as in a CRLF file, is stripped
     assert parse_conllu(text.replace("a\rb", "ab").replace("\n", "\r\n"))
 
+
+def test_the_first_bad_line_in_file_order_names_the_error():
+    good = "1\ta\t_\tX\t_\t_\t0\troot\t_\t_"
+    eleven = good + "\t_"
+    lines = ["# sent_id = s1", "# text = a b", eleven, "2\tb\t_\tX\t_\t_\t1\tdep\t_\t_", "# a\rb"]
+    with pytest.raises(ConlluParseError, match="^line 3: expected 10 tab-separated columns, got 11$"):
+        parse_conllu("\n".join(lines) + "\n")
+    # the carriage return wins when it comes first
+    lines[2], lines[4] = "1\ta\rb\t_\tX\t_\t_\t0\troot\t_\t_", eleven
+    with pytest.raises(ConlluParseError, match="^line 3: carriage return inside the line$"):
+        parse_conllu("\n".join(lines) + "\n")
+    # a whole-sentence check of one block comes before any line of the next
+    text = "\n".join(["# sent_id = s1", good.replace("0\troot", "5\tdep"), "", eleven]) + "\n"
+    with pytest.raises(ValidationError, match="^line 2: token 1 has head 5 outside 0..1$"):
+        parse_conllu(text)
+
+
 def test_round_trip_identity_on_random_documents():
     rng = random.Random(411)
     for case in range(200):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import statistics
@@ -303,6 +304,15 @@ def test_cross_validate_forked_equals_inline(monkeypatch, two_cpus):
     assert runs[2] == runs[1]
 
 
+def test_cross_validate_scores_a_repeated_setting_once():
+    corpus = make_corpus(40, seed=1)
+    once = cross_validate(corpus, 4, quick_train, (EvalSetting.GOLD_TOK,), seed=0)
+    twice = cross_validate(corpus, 4, quick_train, (EvalSetting.GOLD_TOK,) * 2, seed=0)
+    assert len(twice[1][EvalSetting.GOLD_TOK]) == 4
+    assert twice[1] == once[1]
+    assert twice[2] == once[2]
+
+
 # ------------------------------------------------------------ fisher exact
 
 
@@ -346,6 +356,14 @@ def test_bootstrap_validation():
         bootstrap_median_compare([1.0] * 4, [1.0] * 5)
     with pytest.raises(DataError, match="at least 1000"):
         bootstrap_median_compare([1.0] * 5, [1.0] * 5, iterations=999)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bootstrap_refuses_non_finite_values(bad):
+    with pytest.raises(DataError, match="finite"):
+        bootstrap_median_compare([1.0, 2.0, 3.0, 4.0, bad], [1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(DataError, match="finite"):
+        bootstrap_median_compare([1.0, 2.0, 3.0, 4.0, 5.0], [bad, 2.0, 3.0, 4.0, 5.0])
 
 
 def test_bootstrap_deterministic():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import reference_tokenize
 
 from udbridge.errors import DataError
 from udbridge.tokenizer import TokenizerConfig, tokenize
@@ -86,3 +87,27 @@ def test_empty_and_whitespace_input():
 def test_lone_period_chunk_is_a_terminator():
     doc = tokenize("sa . No")
     assert forms(doc) == [["sa", "."], ["No"]]
+
+
+def test_tokenize_matches_the_character_scanning_reference():
+    """Chunking by str.split() and peeling plain strings gives the same
+    Document as scanning characters and comparing offsets: the same forms,
+    SpaceAfter and sentence breaks, on Unicode separators, period runs,
+    ellipses and abbreviations."""
+    rng = random.Random(22)
+    separators = " \n\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+    pieces = ["a", "Ab", "bgl", "s", "É", "ß", "1", ".", "..", "...", ",", "?", "!",
+              "…", "(", ")", "«", "»", "'", "-", "\u200b", "\xad"]
+    configs = [
+        TokenizerConfig(),
+        TokenizerConfig(abbreviations={"bgl.", "s.", "Ab.", "a..", "(s.", "..."}),
+        TokenizerConfig(punctuation=set(".,!"), terminators={"!", "…"}),
+    ]
+    for _ in range(3000):
+        parts = []
+        for _ in range(rng.randint(0, 14)):
+            pool = separators if rng.random() < 0.3 else pieces
+            parts.append(rng.choice(pool))
+        text = "".join(parts)
+        cfg = rng.choice(configs)
+        assert tokenize(text, cfg) == reference_tokenize(text, cfg), repr(text)
