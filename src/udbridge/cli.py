@@ -146,6 +146,10 @@ def cmd_align(args, stdin, stdout, stderr) -> int:
 
 
 def cmd_train(args, stdin, stdout, stderr) -> int:
+    if args.split and args.dev:
+        raise UsageError("--dev and --split both give a dev set; use one")
+    if args.test_out and not args.split:
+        raise UsageError("--test-out needs --split")
     train_doc = parse_conllu(read_text(args.train))
     dev_doc = None
     if args.split:
@@ -306,7 +310,10 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--lambda", dest="lambda_", type=float, default=4.0)
     p.add_argument("--null-prob", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="only written to the table header; EM training draws no random numbers",
+    )
     p.add_argument("--save-table")
     p.add_argument("--load-table")
     p.add_argument("--diagnostics", action="store_true", help="report crossing links")
@@ -314,7 +321,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the annotation pipeline")
     p.add_argument("--train", required=True, help="gold CoNLL-U training file")
-    p.add_argument("--dev", help="gold CoNLL-U dev file")
+    p.add_argument("--dev", help="gold CoNLL-U dev file (not with --split)")
     p.add_argument("--split", action="store_true", help="80/10/10 split of --train")
     p.add_argument("--test-out", help="with --split: write the test cut here")
     p.add_argument("--epochs", type=int, default=5)

@@ -1,32 +1,49 @@
 """Averaged multiclass perceptron over sparse binary features.
 
-Training keeps its live weights in rows keyed by class index:
-feature -> {class index: weight}. predict() sums a decision's scores into
-a flat list and update() moves the rows; the class names come back only
-in averaged(), which returns the usual feature -> {class: weight} table.
+Training packs each feature's live weights into one Python int, with a
+64-bit lane per class index: weights w_c are held as sum(w_c << 64 * c).
+update() moves a row with one int add of (1 << 64 * truth) -
+(1 << 64 * guess). predict() adds up a decision's rows with one C-level
+sum() and adds a bias of 2**63 to every lane, so that class c's lane holds
+its score plus 2**63. While every score s obeys -2**63 <= s < 2**63, no lane
+borrows from or carries into its neighbour, and predict() reads the lanes
+as unsigned 64-bit integers and keeps the highest-scoring candidate, the
+earliest on ties. A weight moves by one per update, so a score is at most
+the number of updates times the number of features in a decision, far
+below 2**63 for any training run. The bias has one lane per class, so
+index() recomputes it when it adds a class. predict() scores int rows
+only: packed rows cannot hold fractions, and the sums are exact, so how
+sum() rounds floats (which changed in Python 3.12) does not matter. The
+`weights` property decodes the rows to feature -> {class index: weight};
+its setter takes integer-valued weights and raises DataError for anything
+else.
 
 The tick counter advances once per training decision (update() call), also
 when the guess was correct. averaged() returns, for every feature/class,
 the mean of the post-update weight snapshots over all ticks so far. It is
 computed in closed form (Daume III 2006): a weight w moved by deltas d_t
 at ticks t has, after T ticks, the snapshot sum (T + 1) * w - u with
-u = sum of t * d_t. update() keeps w and u as Python ints in two parallel
-rows per feature, so that numerator is exact for any run length, and
-averaged() divides it by T once, a correctly rounded true division. So
-each average is the float that summing every snapshot gives whenever that
-sum is exact (below 2**53), and the exact mean rounded once beyond it.
+u = sum of t * d_t. update() keeps u in a dict row per feature, keyed by
+class index in the order that the classes were first updated. Those rows
+stay dicts of Python ints: u grows with the tick count and passes 2**64 on
+long runs, so it would not fit a lane, and the keys give averaged() the
+lanes to read (by shift and mask of the biased row) and the order in which
+to write them. So the numerator is exact for any run length, and averaged()
+divides it by T once, a correctly rounded true division. Each average is
+the float that summing every snapshot gives whenever that sum is exact
+(below 2**53), and the exact mean rounded once beyond it.
 
 Trained models score through frozen tables: compile_rows() turns a
 feature -> {class: weight} table into class-indexed rows once. The tagger
 and the parser sum those rows in their own decoders, which start from
-remembered per-form or per-token scores. predict_with() is the reference
-for predict() and both decoders on the dict form: all of them sum each
-class's score in feature order and give ties to the earliest class. The
-decoders and predict_with() start from 0.0; predict() starts from 0, so it
-adds the int rows of training exactly, and float rows (set by hand) with
-the same additions as predict_with().
+remembered per-form or per-token scores. predict_with() is the float
+reference for predict() and both decoders on the dict form: all of them
+give ties to the earliest class, and the decoders and predict_with() sum
+each class's score in feature order from 0.0, so their float sums round
+alike.
 """
 
+import sys
 from itertools import chain
 
 from .errors import DataError
@@ -35,18 +52,28 @@ from .errors import DataError
 Rows = dict[str, tuple[tuple[int, float], ...]]
 
 _NUMBERS = {int, float}
+_LANE = 64  # bits per class in a packed row
+_MASK = (1 << _LANE) - 1
+_HALF = 1 << (_LANE - 1)  # the bias of every lane
 
 
 class AveragedPerceptron:
     def __init__(self, classes: list[str]):
         self.classes = list(classes)
         self._index = {cls: i for i, cls in enumerate(self.classes)}
-        # feature -> {class index: weight}; ints while training
-        self.weights: dict[str, dict[int, int | float]] = {}
-        # feature -> {class index: sum of tick * delta}, the rows of
-        # `weights` with the same keys in the same order
+        # feature -> sum(weight << 64 * class index)
+        self._live: dict[str, int] = {}
+        # feature -> {class index: sum of tick * delta}, with a key for each
+        # class that the feature's row has held, in first-update order
         self._sums: dict[str, dict[int, int]] = {}
         self.ticks = 0
+        self._widen()
+
+    def _widen(self) -> None:
+        """Size the lane bias and predict()'s byte count to the classes."""
+        n = len(self.classes)
+        self._bias = _HALF * (((1 << _LANE * n) - 1) // _MASK)  # 2**63 per lane
+        self._nbytes = n * _LANE // 8
 
     def index(self, cls: str) -> int:
         """The index of `cls`; a class not seen before gets the next one."""
@@ -54,39 +81,64 @@ class AveragedPerceptron:
         if i is None:
             i = self._index[cls] = len(self.classes)
             self.classes.append(cls)
+            self._widen()
         return i
+
+    @property
+    def weights(self) -> dict[str, dict[int, int]]:
+        """The live weights, feature -> {class index: weight}."""
+        out = {}
+        for feat, usum in self._sums.items():
+            row = self._live[feat] + self._bias
+            out[feat] = {i: ((row >> _LANE * i) & _MASK) - _HALF for i in usum}
+        return out
+
+    @weights.setter
+    def weights(self, table: dict[str, dict[int, int | float]]) -> None:
+        n = len(self.classes)
+        live: dict[str, int] = {}
+        sums: dict[str, dict[int, int]] = {}
+        for feat, row in table.items():
+            packed = 0
+            for i, w in row.items():
+                if type(i) is not int or not 0 <= i < n:
+                    raise DataError(f"class index {i!r} of feature {feat!r} is not in 0..{n - 1}")
+                if type(w) is float and w.is_integer():
+                    w = int(w)
+                if type(w) is not int or not -_HALF <= w < _HALF:
+                    raise DataError(
+                        f"weight {w!r} of feature {feat!r} is not an integer in [-2**63, 2**63)"
+                    )
+                packed += w << _LANE * i
+            live[feat] = packed
+            sums[feat] = dict.fromkeys(row, 0)
+        self._live, self._sums = live, sums
 
     def predict(self, features: list[str], candidates: list[int]) -> int:
         """The highest-scoring of `candidates` (ascending indices); ties go
-        to the earliest. Sums like predict_with()."""
+        to the earliest."""
         if len(candidates) == 1:
             return candidates[0]
-        scores = [0] * len(self.classes)
-        get = self.weights.get
-        for feat in features:
-            row = get(feat)
-            if row is not None:
-                for i, w in row.items():
-                    scores[i] += w
-        return max(candidates, key=scores.__getitem__)
+        total = sum(filter(None, map(self._live.get, features)), self._bias)
+        lanes = memoryview(total.to_bytes(self._nbytes, sys.byteorder)).cast("Q")
+        return max(candidates, key=lanes.__getitem__)
 
     def update(self, truth: int, guess: int, features: list[str]) -> None:
         self.ticks += 1
         if truth == guess:
             return
         tick = self.ticks
-        weights, sums = self.weights, self._sums
-        get = weights.get
+        delta = (1 << _LANE * truth) - (1 << _LANE * guess)
+        live, sums = self._live, self._sums
+        get = sums.get
         for feat in features:
-            row = get(feat)
-            if row is None:
-                weights[feat] = {truth: 1, guess: -1}
+            usum = get(feat)
+            if usum is None:
+                live[feat] = delta
                 sums[feat] = {truth: tick, guess: -tick}
                 continue
-            usum = sums[feat]
-            row[truth] = row.get(truth, 0) + 1
+            live[feat] += delta
             usum[truth] = usum.get(truth, 0) + tick
-            row[guess] = row.get(guess, 0) - 1
             usum[guess] = usum.get(guess, 0) - tick
 
     def averaged(self) -> dict[str, dict[str, float]]:
@@ -99,13 +151,14 @@ class AveragedPerceptron:
                 f: {classes[i]: w for i, w in row.items()} for f, row in self.weights.items()
             }
         after = ticks + 1
+        bias, live = self._bias, self._live
         out: dict[str, dict[str, float]] = {}
-        for feat, row in self.weights.items():
-            usum = self._sums[feat]
+        for feat, usum in self._sums.items():
+            row = live[feat] + bias
             arow = {
                 classes[i]: total / ticks
-                for i, w in row.items()
-                if (total := after * w - usum[i])
+                for i, u in usum.items()
+                if (total := after * (((row >> _LANE * i) & _MASK) - _HALF) - u)
             }
             if arow:
                 out[feat] = arow

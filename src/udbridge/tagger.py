@@ -206,6 +206,8 @@ def train_tagger(
     if not data:
         raise DataError("empty training document")
     dev_data = _gold_labels(dev) if dev is not None and dev.sentences else None
+    if dev_data is not None and not any(forms for forms, _ in dev_data):
+        raise DataError("dev document has no tokens")
 
     classes = {
         attr: sorted({lab for _, labels in data for lab in labels[attr]})

@@ -404,6 +404,30 @@ def test_train_with_split_writes_test_cut(tmp_path):
         assert len(parse_conllu(fh.read()).sentences) == 5
 
 
+def test_train_refuses_dev_with_split(tmp_path):
+    train_file = tmp_path / "all.conllu"
+    train_file.write_text(serialize_conllu(make_corpus(20, seed=2)), encoding="utf-8")
+    model_file = tmp_path / "model.json"
+    for dev in (str(train_file), str(tmp_path / "missing.conllu")):
+        code, _, err = run(
+            ["train", "--train", str(train_file), "--split", "--dev", dev, "--out", str(model_file)]
+        )
+        assert code == 1 and "usage error" in err and "--dev" in err
+    assert not model_file.exists()
+
+
+def test_train_refuses_test_out_without_split(tmp_path):
+    train_file = tmp_path / "all.conllu"
+    train_file.write_text(serialize_conllu(make_corpus(20, seed=2)), encoding="utf-8")
+    model_file, test_file = tmp_path / "model.json", tmp_path / "test.conllu"
+    code, _, err = run(
+        ["train", "--train", str(train_file), "--test-out", str(test_file),
+         "--out", str(model_file)]
+    )
+    assert code == 1 and "usage error" in err and "--test-out needs --split" in err
+    assert not model_file.exists() and not test_file.exists()
+
+
 def test_train_parser_error_exits_two(tmp_path, two_cpus):
     gold = make_corpus(30, seed=3)
     gold.sentences[5].tokens[1].head = None

@@ -1,4 +1,5 @@
-"""Averaged perceptron: hand-traced averaging, tie rule, closed-form averages."""
+"""Averaged perceptron: hand-traced averaging, tie rule, closed-form averages,
+and the packed rows that training scores on."""
 
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from oracles import SnapshotPerceptron
 
+from udbridge.errors import DataError
 from udbridge.perceptron import AveragedPerceptron, predict_with, score_with
 
 A, B = 0, 1  # the indices of "A" and "B" in AveragedPerceptron(["A", "B"])
@@ -51,7 +53,7 @@ def test_cancelled_weights_are_dropped_from_average():
 
 def test_prediction_tie_goes_to_smallest_class():
     p = AveragedPerceptron(["a", "b", "c"])
-    p.weights = {"f": {1: 1.0, 0: 1.0, 2: 0.5}}
+    p.weights = {"f": {1: 2, 0: 2, 2: 1}}
     assert p.predict(["f"], [0, 1, 2]) == 0
     assert p.predict(["unseen"], [0, 1, 2]) == 0
     assert predict_with({"f": {"b": 1.0, "a": 1.0, "c": 0.5}}, ["f"], ["a", "b", "c"]) == "a"
@@ -154,3 +156,95 @@ def test_averaged_is_exact_past_float_precision():
             want.setdefault(feat, {})[classes[cls]] = float(Fraction(total, ticks))
     assert any(float(total) != total for total in sums.values())
     assert p.averaged() == want
+
+
+# ------------------------------------------------------------ packed rows
+
+BOUND = 2**63 - 1  # the largest score a 64-bit lane holds in either sign
+
+
+def test_lane_sums_at_the_bound_keep_their_order():
+    half = 2**62
+    p = AveragedPerceptron(["a", "b", "c", "d"])
+    # class scores: a 2**63 - 1, b -(2**63 - 1), c 2**63 - 2, d 2**63 - 1
+    p.weights = {
+        "f": {0: half, 1: -half, 2: half - 1, 3: half},
+        "g": {0: half - 1, 1: -(half - 1), 2: half - 1, 3: half - 1},
+    }
+    feats = ["f", "g"]
+    assert p.predict(feats, [0, 1, 2, 3]) == 0  # a tie with d at the bound
+    assert p.predict(feats, [1, 2, 3]) == 3
+    assert p.predict(feats, [1, 2]) == 2
+    p.weights = {feat: {i: -w for i, w in row.items()} for feat, row in p.weights.items()}
+    assert p.predict(feats, [0, 1, 2, 3]) == 1
+    assert p.predict(feats, [0, 2, 3]) == 2
+    assert p.predict(feats, [0, 3]) == 0
+    p.weights = {"f": {0: BOUND, 1: -BOUND, 2: BOUND, 3: -BOUND}}
+    assert p.predict(["f"], [1, 2, 3]) == 2
+    assert p.predict(["f"], [1, 3]) == 1
+
+
+def test_negative_only_and_all_zero_rows():
+    p = AveragedPerceptron(["a", "b", "c"])
+    table = {"neg": {0: -3, 1: -1, 2: -2}, "zero": {0: 0, 1: 0, 2: 0}}
+    p.weights = table
+    named = {feat: {p.classes[i]: float(w) for i, w in row.items()} for feat, row in table.items()}
+    for feats in (["neg"], ["neg", "neg"], ["zero"], ["zero", "neg"], ["zero", "unseen"]):
+        for cands in ([0, 1, 2], [0, 2], [1, 2]):
+            want = predict_with(named, feats, [p.classes[i] for i in cands])
+            assert p.classes[p.predict(feats, cands)] == want
+    assert p.predict(["neg"], [0, 1, 2]) == 1
+    assert p.predict(["zero"], [1, 2]) == 1
+    q = AveragedPerceptron(["a", "b"])
+    q.update(A, B, ["f"])
+    q.update(B, A, ["f"])  # the row cancels to zero
+    assert q.weights == {"f": {A: 0, B: 0}}
+    assert q.predict(["f"], [0, 1]) == 0
+
+
+def test_a_class_added_after_packing_goes_on_to_win():
+    p = AveragedPerceptron(["a", "b"])
+    p.update(A, B, ["f"])
+    c = p.index("c")
+    assert c == 2
+    assert p.predict(["f"], [0, 1, 2]) == 0
+    p.update(c, A, ["f"])
+    p.update(c, A, ["f"])
+    assert p.weights == {"f": {A: -1, B: -1, c: 2}}
+    assert p.predict(["f"], [0, 1, 2]) == c
+    assert p.predict(["f", "unseen"], [1, 2]) == c
+
+
+@pytest.mark.parametrize("weight", [0.5, "1", True, 2**63, float("inf")])
+def test_weights_setter_refuses_non_integers(weight):
+    p = AveragedPerceptron(["a", "b"])
+    with pytest.raises(DataError):
+        p.weights = {"f": {0: weight}}
+
+
+def test_weights_setter_refuses_class_indices_out_of_range():
+    p = AveragedPerceptron(["a", "b"])
+    for index in (2, -1, "a"):
+        with pytest.raises(DataError):
+            p.weights = {"f": {index: 1}}
+
+
+def test_weights_read_back_what_update_made():
+    """The decoded rows equal the snapshot reference's live weights, with
+    the same keys in the same order, also for negative and zero weights."""
+    rng = random.Random(2301)
+    classes = ["a", "b", "c", "d"]
+    p = AveragedPerceptron(classes)
+    ref = SnapshotPerceptron()
+    steps = [
+        (rng.randrange(4), rng.randrange(4), [rng.choice("fghk") for _ in range(rng.randint(0, 4))])
+        for _ in range(400)
+    ]
+    steps += [(0, 3, ["z"]), (3, 0, ["z"])]  # "z" cancels to zero
+    for truth, guess, feats in steps:
+        p.update(truth, guess, feats)
+        ref.update(classes[truth], classes[guess], feats)
+    got = {feat: [(classes[i], w) for i, w in row.items()] for feat, row in p.weights.items()}
+    assert got == {feat: list(row.items()) for feat, row in ref.weights.items()}
+    assert p.weights["z"] == {0: 0, 3: 0}
+    assert min(min(row.values()) for row in p.weights.values()) < 0

@@ -93,7 +93,11 @@ def test_compile_rejects_malformed_rows(table):
 def test_averaged_perceptron_predict_is_predict_with():
     rng = random.Random(5)
     p = AveragedPerceptron(["a", "b", "c"])
-    table = random_table(rng, ["a", "b", "c"], 10)
+    # packed training rows hold integers: random_table's weights x 4, rounded
+    table = {
+        f: {cls: round(4 * w) for cls, w in row.items()}
+        for f, row in random_table(rng, ["a", "b", "c"], 10).items()
+    }
     # the same weights keyed by class index; "zz-outside" gets index 3
     p.weights = {f: {p.index(cls): w for cls, w in row.items()} for f, row in table.items()}
     for _ in range(50):

@@ -67,6 +67,14 @@ def test_dev_snapshot_is_deterministic():
     assert a.classes == b.classes
 
 
+def test_dev_without_tokens_is_a_data_error():
+    dev = make_corpus(3, seed=6)
+    for sent in dev.sentences:
+        sent.tokens = []
+    with pytest.raises(DataError, match="dev document has no tokens"):
+        train_tagger(make_corpus(20, seed=5), dev, epochs=1)
+
+
 def test_training_rejects_missing_upos_and_empty_doc():
     corpus = make_corpus(5, seed=7)
     corpus.sentences[2].tokens[1].upos = None
