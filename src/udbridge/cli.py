@@ -20,7 +20,7 @@ from .aligner import (
     viterbi_align,
 )
 from .conllu import parse_conllu, serialize_conllu, serialize_tsv
-from .errors import UdbridgeError, UsageError
+from .errors import DataError, UdbridgeError, UsageError
 from .evaluation import (
     ContingencyTable2x2,
     bootstrap_median_compare,
@@ -158,6 +158,8 @@ def cmd_train(args, stdin, stdout, stderr) -> int:
             write_atomically(args.test_out, serialize_conllu(test_doc))
     elif args.dev:
         dev_doc = parse_conllu(read_text(args.dev))
+        if not dev_doc.sentences:
+            raise DataError(f"{args.dev}: the dev file holds no sentences")
     model = train_pipeline(
         train_doc,
         dev_doc,

@@ -11,15 +11,35 @@ Training follows the static oracle on a projectivized copy of the gold
 trees (non-projective arcs are repeatedly lifted to the grandparent);
 evaluation and reporting always use the original trees.
 
-The order of the features _node_feats lists is fixed, and scores are
-summed in that order. ParserModel.parse relies on it: it remembers, per
-(form, tag), each class's score after the first four features (bias and
-the s0 word and tag) and that token's rows for the s1, s2, b0 and b1
-slots, keeps the tag-triple, arc-label and distance rows in small tables,
-and adds the rows of a decision to a copy of the s0 scores in the old
-order. Each class gets the same float additions in the same order as
-summing every feature from 0.0, so the parses are the same. Reordering the
-features changes the parses.
+The reference decoder picks the first of the highest-scoring open moves,
+where a move's score is the float sum of the rows of the decision's
+_node_feats features, added in feature order from 0.0. ParserModel.parse
+picks the same moves from integers:
+
+- Lanes. Each move (class) has a 64-bit lane in one packed int, as in
+  perceptron.py. A packed row holds round(w * 2**K) in the lane of each of
+  its weights w, and every lane starts from a bias of 2**63, so a
+  decision's score is one sum of ints that C adds, exactly and in any
+  order. parse reads the lanes as unsigned 64-bit integers.
+- Scale. M is the largest |weight| of the model, and a decision has at
+  most F = 23 features. K is chosen from math.frexp(M) so that
+  F * (M * 2**K + 1) < 2**62; so no lane over- or underflows its 64 bits.
+- Margin. Let R_c be move c's reference float sum. Rounding the weights
+  puts A_c, its lane less the bias, within F / 2 of 2**K times the exact
+  sum, and R_c is within gamma * F * M of the exact sum (the standard
+  bound for a recursive float sum of F terms, with gamma = (F - 1) * u /
+  (1 - (F - 1) * u) and u = 2**-53). So |A_c - 2**K * R_c| <= E =
+  ceil(F + 2**K * gamma * F * M). If the best open lane beats every other
+  open lane by more than 2 * E, its move is the reference's unique argmax.
+- Fallback. Otherwise (ties, near-ties, and every decision of a model
+  whose float sums could overflow) parse sums the rows of _node_feats in
+  order from 0.0 and takes the first highest score: the reference by
+  definition. Trained models seldom need it.
+
+parse remembers the packed rows each (form, tag) token adds in the s0, s1,
+s2, b0 and b1 slots, those of each (s0, s1, b0) tag triple and of each
+s0s1w feature with a row, and keeps the arc-label and distance rows in
+small tables. A token whose form has no form row shares its tag's entry.
 
 ParserModel also decodes each move once into (kind, label), and parse runs
 arc-standard on plain lists and dicts, picking moves by class index.
@@ -28,13 +48,16 @@ and the leftmost / rightmost child labels) along the static oracle, and
 builds each decision's features with _node_feats.
 """
 
+import math
 import random
 import re
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .conllu import Document, Sentence
 from .errors import DataError
-from .perceptron import AveragedPerceptron, Rows, compile_rows
+from .perceptron import AveragedPerceptron, compile_rows, lane_bias, pack
 
 SHIFT = "shift"
 _NONE = "<none>"
@@ -157,19 +180,15 @@ def check_moves(classes: list[str], root_label: str) -> None:
         raise DataError(f"parser root_label {root_label!r} is empty or has whitespace")
 
 
-def _pairs(rows: Rows, *feats: str) -> tuple[tuple[int, float], ...]:
-    """The (class, weight) pairs of the rows of `feats`, in feature order."""
-    out: tuple = ()
-    for feat in feats:
-        out += rows.get(feat, ())
-    return out
-
-
-# The feature prefixes that name a token's word rows and its tag rows, and
-# the arc-label features in feature order.
+# The feature prefixes that name a token's word rows, its form/tag rows and
+# its tag rows, and the arc-label features in feature order.
 _WORD_SLOTS = ("s0w=", "s1w=", "b0w=", "b1w=")
+_WORD_TAG_SLOTS = ("s0wt=", "s1wt=", "b0wt=")
 _TAG_SLOTS = ("s0t=", "s1t=", "s2t=", "b0t=", "b1t=")
 _LABEL_SLOTS = ("s0lc=", "s0rc=", "s1lc=", "s1rc=")
+# The most features a decision has: those of a state with three stack nodes.
+_TERMS = len(_node_feats([0, 1, 2], 3, {}, {}, _padded(["a", "b"]), _padded(["a", "b"])))
+_ROUNDOFF = 2.0**-53  # of a float addition, relative
 
 
 @dataclass
@@ -186,75 +205,114 @@ class ParserModel:
         self._moves = sorted(set(self.classes) | {SHIFT})
         rows = self._rows = compile_rows(self.weights, self._moves)
         self._decoded = [_decode_move(move) for move in self._moves]
-        # The tables parse() scores from; never saved. Per arc label (and
-        # _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
-        # distance; and two memos filled as tokens come. Handler threads
+        # The fixed-point scale and the lead that certifies a lane argmax
+        # (see the module docstring); no lead does if a float sum of
+        # _TERMS weights could overflow.
+        top = max((abs(w) for pairs in rows.values() for _, w in pairs), default=0.0)
+        self._shift = 62 - _TERMS.bit_length() - math.frexp(top)[1]
+        gamma = (_TERMS - 1) * _ROUNDOFF / (1 - (_TERMS - 1) * _ROUNDOFF)
+        error = math.ceil(_TERMS + gamma * _TERMS * math.ldexp(top, self._shift))
+        self._margin = 2 * error if math.isfinite(2.0 * _TERMS * top) else math.inf
+        self._nbytes = 8 * len(self._moves)
+        # The packed tables parse() scores from; never saved. Per arc label
+        # (and _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
+        # distance; and four memos filled as tokens come. Handler threads
         # share the memos: a dict get or set is atomic, and two threads
         # that miss the same key store equal entries.
         labels = {move.partition(":")[2] for move in self._moves if move != SHIFT}
         self._label_rows = {
-            label: tuple(rows.get(slot + label, ()) for slot in _LABEL_SLOTS)
+            label: tuple(self._pack(slot + label) for slot in _LABEL_SLOTS)
             for label in labels | {self.root_label, _NONE}
         }
-        self._dist_rows = tuple(rows.get(f"dist={d}", ()) for d in range(6))
-        # (form, tag) -> (s0 scores, s1 pairs, s2 pairs, b0 pairs, b1 pairs)
-        self._tokens: dict[tuple[str, str], tuple] = {}
-        # (s0 tag, s1 tag, b0 tag) -> (s0s1t pairs, s0b0t + s1b0t + s0s1b0t pairs)
-        self._triples: dict[tuple[str, str, str], tuple] = {}
-
-    def _known_tag(self, tag: str) -> bool:
-        rows = self._rows
-        return any(slot + tag in rows for slot in _TAG_SLOTS)
-
-    def _token(self, key: tuple[str, str]) -> tuple:
-        """What the features of a (form, tag) token contribute in each
-        slot. Remembered only for a form with a word row and a tag with a
-        tag row, so the memo never outgrows the model."""
-        form, tag = key
-        rows = self._rows
-        wt = form + "/" + tag
-        scores = [0.0] * len(self._moves)
-        for i, w in _pairs(rows, "bias", "s0w=" + form, "s0t=" + tag, "s0wt=" + wt):
-            scores[i] += w
-        entry = (
-            tuple(scores),
-            _pairs(rows, "s1w=" + form, "s1t=" + tag, "s1wt=" + wt),
-            _pairs(rows, "s2t=" + tag),
-            _pairs(rows, "b0w=" + form, "b0t=" + tag, "b0wt=" + wt),
-            _pairs(rows, "b1w=" + form, "b1t=" + tag),
+        self._dist_rows = tuple(self._pack(f"dist={d}") for d in range(6))
+        # The lane bias 2**63 and the bias row, which every s0 slot holds.
+        self._bias = lane_bias(len(self._moves)) + self._pack("bias")
+        # The forms with a word row, the form/tag pairs with a form/tag row
+        # and the tags with a tag row, as the features spell them.
+        self._row_forms, self._row_form_tags, self._row_tags = (
+            {feat.partition("=")[2] for feat in rows if feat.startswith(slots)}
+            for slots in (_WORD_SLOTS, _WORD_TAG_SLOTS, _TAG_SLOTS)
         )
-        if any(slot + form in rows for slot in _WORD_SLOTS) and self._known_tag(tag):
+        # (form, tag) -> the rows of the s0, s1, s2, b0 and b1 slots
+        self._tokens: dict[tuple[str, str], tuple[int, ...]] = {}
+        # tag -> the same, for a form without form rows
+        self._tags: dict[str, tuple[int, ...]] = {}
+        # (s0 tag, s1 tag, b0 tag) -> the s0s1t, s0b0t, s1b0t and s0s1b0t rows
+        self._triples: dict[tuple[str, str, str], int] = {}
+        # an s0s1w feature with a row -> that row
+        self._s0s1w: dict[str, int] = {}
+
+    def _pack(self, *feats: str) -> int:
+        """The rows of `feats` summed in packed lanes (perceptron.pack)."""
+        get = self._rows.get
+        return pack(chain.from_iterable(get(feat, ()) for feat in feats), self._shift)
+
+    def _tag(self, tag: str) -> tuple[int, ...]:
+        """The slot rows of a token whose form has no form row. Remembered
+        only for a tag with a tag row."""
+        entry = (
+            self._bias + self._pack("s0t=" + tag),
+            self._pack("s1t=" + tag),
+            self._pack("s2t=" + tag),
+            self._pack("b0t=" + tag),
+            self._pack("b1t=" + tag),
+        )
+        if tag in self._row_tags:
+            self._tags[tag] = entry
+        return entry
+
+    def _token(self, key: tuple[str, str]) -> tuple[int, ...]:
+        """The rows of a (form, tag) token in the s0, s1, s2, b0 and b1
+        slots. A form without any of its seven form rows shares the entry
+        of its tag; others are remembered only for a form with a word row
+        and a tag with a tag row, so the memos never outgrow the model."""
+        form, tag = key
+        wt = form + "/" + tag
+        entry = self._tags.get(tag) or self._tag(tag)
+        worded = form in self._row_forms
+        if not worded and wt not in self._row_form_tags:
+            return entry
+        s0, s1, s2, b0, b1 = entry
+        entry = (
+            s0 + self._pack("s0w=" + form, "s0wt=" + wt),
+            s1 + self._pack("s1w=" + form, "s1wt=" + wt),
+            s2,
+            b0 + self._pack("b0w=" + form, "b0wt=" + wt),
+            b1 + self._pack("b1w=" + form),
+        )
+        if worded and tag in self._row_tags:
             self._tokens[key] = entry
         return entry
 
-    def _triple(self, key: tuple[str, str, str]) -> tuple:
-        """The tag-pair and tag-triple rows of (s0, s1, b0) tags, split
-        where the s0s1w row goes. Remembered only when all three tags have
-        a tag row."""
+    def _triple(self, key: tuple[str, str, str]) -> int:
+        """The tag-pair and tag-triple rows of (s0, s1, b0) tags.
+        Remembered only when all three tags have a tag row."""
         s0t, s1t, b0t = key
-        rows = self._rows
-        entry = (
-            _pairs(rows, "s0s1t=" + s0t + "+" + s1t),
-            _pairs(rows, "s0b0t=" + s0t + "+" + b0t, "s1b0t=" + s1t + "+" + b0t,
-                   "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t),
-        )
-        if all(map(self._known_tag, key)):
+        entry = self._pack("s0s1t=" + s0t + "+" + s1t, "s0b0t=" + s0t + "+" + b0t,
+                           "s1b0t=" + s1t + "+" + b0t, "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t)
+        if self._row_tags.issuperset(key):
             self._triples[key] = entry
         return entry
+
+    def _word_pair(self, feat: str) -> int:
+        """The row of an s0s1w feature that has one."""
+        packed = self._s0s1w[feat] = self._pack(feat)
+        return packed
 
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
         """Greedy parse; returns 1-based heads and deprels per token.
 
         Runs the transitions of train_parser, with the moves open there,
-        and scores each decision like summing the rows of _node_feats in
-        order (see the module docstring)."""
+        and picks each move as summing the rows of _node_feats in order
+        from 0.0 would (see the module docstring)."""
         n = len(forms)
         pforms, ptags = _padded(forms), _padded(tags)
         # the root (node 0) never fills a feature slot
         memo, token = self._tokens, self._token
         tokens = [None] + [memo.get(key) or token(key) for key in zip(pforms[1:], ptags[1:])]
-        decoded, get = self._decoded, self._rows.get
-        triples, label_rows, dist_rows = self._triples, self._label_rows, self._dist_rows
+        decoded, rows, margin, nbytes = self._decoded, self._rows, self._margin, self._nbytes
+        triples, s0s1w = self._triples, self._s0s1w
+        label_rows, dist_rows = self._label_rows, self._dist_rows
         heads = [0] * (n + 1)
         deprels = [_NONE] * (n + 1)
         # the label of each node's leftmost / rightmost child: arc-standard
@@ -282,27 +340,34 @@ class ParserModel:
             s0, s1 = stack[-1], stack[-2]
             s2 = stack[-3] if depth > 3 else none
             key = (ptags[s0], ptags[s1], ptags[b0])
-            triple = triples.get(key) or self._triple(key)
-            scores = list(tokens[s0][0])
-            for pairs in (
-                tokens[s1][1],
-                tokens[s2][2],
-                tokens[b0][3],
-                tokens[b0 + 1][4],
-                triple[0],
-                get("s0s1w=" + pforms[s0] + "+" + pforms[s1], ()),
-                triple[1],
-                label_rows[lc.get(s0, _NONE)][0],
-                label_rows[rc.get(s0, _NONE)][1],
-                label_rows[lc.get(s1, _NONE)][2],
-                label_rows[rc.get(s1, _NONE)][3],
-                dist_rows[min(s0 - s1, 5)],
-            ):
-                for i, w in pairs:
-                    scores[i] += w
+            triple = triples.get(key)
+            if triple is None:
+                triple = self._triple(key)
+            feat = "s0s1w=" + pforms[s0] + "+" + pforms[s1]
+            total = (
+                tokens[s0][0] + tokens[s1][1] + tokens[s2][2] + tokens[b0][3]
+                + tokens[b0 + 1][4] + triple
+                + ((s0s1w.get(feat) or self._word_pair(feat)) if feat in rows else 0)
+                + label_rows[lc.get(s0, _NONE)][0] + label_rows[rc.get(s0, _NONE)][1]
+                + label_rows[lc.get(s1, _NONE)][2] + label_rows[rc.get(s1, _NONE)][3]
+                + dist_rows[min(s0 - s1, 5)]
+            )
+            lanes = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast("Q").tolist()
             if b0 > n:
-                scores.pop()  # only the arc moves are open, and shift is last
-            kind, label = decoded[scores.index(max(scores))]
+                lanes.pop()  # only the arc moves are open, and shift is last
+            best = max(lanes)
+            move = lanes.index(best)
+            lanes[move] = 0  # below every lane: max(lanes) is the runner-up
+            if best - max(lanes) <= margin:
+                # not certified: sum the rows in feature order from 0.0
+                scores = [0.0] * len(decoded)
+                for f in _node_feats(stack, b0, lc, rc, pforms, ptags):
+                    for i, w in rows.get(f, ()):
+                        scores[i] += w
+                if b0 > n:
+                    scores.pop()
+                move = scores.index(max(scores))
+            kind, label = decoded[move]
             if kind == SHIFT:
                 stack.append(b0)
                 b0 += 1

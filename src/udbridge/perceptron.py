@@ -34,17 +34,22 @@ the float that summing every snapshot gives whenever that sum is exact
 (below 2**53), and the exact mean rounded once beyond it.
 
 Trained models score through frozen tables: compile_rows() turns a
-feature -> {class: weight} table into class-indexed rows once. The tagger
-and the parser sum those rows in their own decoders, which start from
-remembered per-form or per-token scores. predict_with() is the float
-reference for predict() and both decoders on the dict form: all of them
-give ties to the earliest class, and the decoders and predict_with() sum
-each class's score in feature order from 0.0, so their float sums round
-alike.
+feature -> {class: weight} table into class-indexed rows once, and refuses
+NaN and infinite weights. The tagger sums those rows as floats in its own
+decoder, which starts from remembered per-form scores; each class's score
+is summed in feature order from 0.0, as predict_with() sums it, so their
+float sums round alike. The parser scales the rows to fixed-point ints and
+packs them into lanes (lane_bias() and pack() below), and sums the floats
+in feature order only for a decision whose lanes are too close to tell
+(see depparser.py). predict_with() is the float reference for predict()
+and both decoders on the dict form: all of them give ties to the earliest
+class.
 """
 
 import sys
+from collections.abc import Iterable
 from itertools import chain
+from math import isfinite, ldexp
 
 from .errors import DataError
 
@@ -55,6 +60,17 @@ _NUMBERS = {int, float}
 _LANE = 64  # bits per class in a packed row
 _MASK = (1 << _LANE) - 1
 _HALF = 1 << (_LANE - 1)  # the bias of every lane
+
+
+def lane_bias(n: int) -> int:
+    """2**63 in each of n lanes."""
+    return _HALF * (((1 << _LANE * n) - 1) // _MASK)
+
+
+def pack(pairs: Iterable[tuple[int, float]], shift: int) -> int:
+    """(class index, weight) pairs as one int whose lane i holds the
+    weights of class i, each times 2**shift rounded to an integer."""
+    return sum(round(ldexp(w, shift)) << _LANE * i for i, w in pairs)
 
 
 class AveragedPerceptron:
@@ -72,7 +88,7 @@ class AveragedPerceptron:
     def _widen(self) -> None:
         """Size the lane bias and predict()'s byte count to the classes."""
         n = len(self.classes)
-        self._bias = _HALF * (((1 << _LANE * n) - 1) // _MASK)  # 2**63 per lane
+        self._bias = lane_bias(n)
         self._nbytes = n * _LANE // 8
 
     def index(self, cls: str) -> int:
@@ -194,8 +210,9 @@ def compile_rows(weights: dict[str, dict[str, float]], classes: list[str]) -> Ro
 
     Weights for classes outside `classes` are dropped (no prediction over
     `classes` reads them), as are rows left empty. Rows with the same
-    classes and weights share one frozen row. A row that is not a dict or
-    a weight that is not a number raises DataError.
+    classes and weights share one frozen row. A row that is not a dict, a
+    weight that is not a number, and a NaN or infinite weight (or an int
+    beyond the float range) raise DataError.
     """
     row_kinds = set(map(type, weights.values()))
     if not row_kinds <= {dict}:
@@ -203,6 +220,10 @@ def compile_rows(weights: dict[str, dict[str, float]], classes: list[str]) -> Ro
     weight_kinds = set(map(type, chain.from_iterable(map(dict.values, weights.values()))))
     if not weight_kinds <= _NUMBERS:
         raise DataError(f"weights must be numbers, found {_names(weight_kinds - _NUMBERS)}")
+    if not _finite(chain.from_iterable(map(dict.values, weights.values()))):
+        feat, w = next((feat, w) for feat, row in weights.items()
+                       for w in row.values() if not _finite((w,)))
+        raise DataError(f"weight {w!r} of feature {feat!r} is not finite")
     index = {cls: i for i, cls in enumerate(classes)}
     position = index.__getitem__
     frozen: dict[tuple, tuple[tuple[int, float], ...]] = {}
@@ -219,6 +240,14 @@ def compile_rows(weights: dict[str, dict[str, float]], classes: list[str]) -> Ro
         if pairs:
             rows[feat] = pairs
     return rows
+
+
+def _finite(weights: Iterable[float]) -> bool:
+    """Whether every weight is finite and within the float range."""
+    try:
+        return all(map(isfinite, weights))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _names(kinds: set[type]) -> str:

@@ -428,6 +428,22 @@ def test_train_refuses_test_out_without_split(tmp_path):
     assert not model_file.exists() and not test_file.exists()
 
 
+@pytest.mark.parametrize("dev_text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_train_refuses_a_dev_file_without_sentences(tmp_path, dev_text):
+    # A sentence-less dev file used to train as if none were given and exit 0.
+    train_file = tmp_path / "train.conllu"
+    train_file.write_text(serialize_conllu(make_corpus(20, seed=2)), encoding="utf-8")
+    dev = tmp_path / "dev.conllu"
+    dev.write_text(dev_text, encoding="utf-8")
+    model_file = tmp_path / "model.json"
+    code, out, err = run(
+        ["train", "--train", str(train_file), "--dev", str(dev), "--out", str(model_file)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {dev}: the dev file holds no sentences\n"
+    assert not model_file.exists()
+
+
 def test_train_parser_error_exits_two(tmp_path, two_cpus):
     gold = make_corpus(30, seed=3)
     gold.sentences[5].tokens[1].head = None

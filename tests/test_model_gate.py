@@ -155,6 +155,27 @@ def test_a_parser_label_that_reads_back_as_unset_is_refused(payload, tmp_path, k
     assert (code, out) == (2, "") and "malformed model" in err
 
 
+@pytest.mark.parametrize("bad_weights", [
+    # NaN in the parser's bias row and an infinity in the tagger's UPOS bias
+    # row: such a model used to load and tag every token ADJ
+    {("parser",): float("nan"), ("tagger", "upos"): float("inf")},
+    {("parser",): float("nan")},
+    {("tagger", "feats"): float("-inf")},
+    {("parser",): 10**400},  # an int beyond the float range
+], ids=["nan-and-inf", "parser-nan", "tagger-minus-inf", "huge-int"])
+def test_a_weight_that_is_not_finite_is_refused(payload, tmp_path, bad_weights):
+    bad = json.loads(json.dumps(payload))
+    for path, value in bad_weights.items():
+        weights = bad[path[0]]["weights"]
+        row = (weights[path[1]] if len(path) > 1 else weights)["bias"]
+        row[next(iter(row))] = value
+    message = r"malformed model: weight .* of feature 'bias' is not finite"
+    with pytest.raises(DataError, match=message):
+        PipelineModel.from_bytes(json.dumps(bad).encode("utf-8"), "bad.json")
+    code, out, err = annotate_exit(bad, tmp_path)
+    assert (code, out) == (2, "") and "is not finite" in err
+
+
 # ------------------------------------------------------------ empty lemmas
 
 

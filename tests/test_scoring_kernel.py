@@ -1,5 +1,6 @@
 """The compiled scoring kernel against its reference, predict_with."""
 
+import math
 import random
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 from oracles import _State, best_index
 from synth import make_corpus
 
+from udbridge import depparser
 from udbridge.depparser import (
     SHIFT,
     ParserModel,
@@ -565,3 +567,107 @@ def test_s1_rows_are_added_after_the_s0_scores():
         assert got == reference_parse(model, ["Y", "X"], ["T", "T"])
         assert got == ([2, 0], ["a", "root"])
     assert set(model._tokens) == {("X", "T"), ("Y", "T")}
+
+
+# ------------------------------------------------ the parser's certified lanes
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list[int]:
+    """A count of the decisions that parse() sums as floats: its fallback is
+    the only caller of _node_feats in parse()."""
+    count = [0]
+    node_feats = depparser._node_feats
+
+    def counted(*args):
+        count[0] += 1
+        return node_feats(*args)
+
+    monkeypatch.setattr(depparser, "_node_feats", counted)
+    return count
+
+
+def _scaled(model: ParserModel, scale) -> ParserModel:
+    """`model` with every weight passed through `scale`."""
+    weights = {feat: {cls: scale(w) for cls, w in row.items()}
+               for feat, row in model.weights.items()}
+    return ParserModel(weights=weights, classes=model.classes, labels=model.labels,
+                       root_label=model.root_label)
+
+
+@pytest.mark.parametrize("power", [-900, -60, 60, 900])
+def test_weights_scaled_by_a_power_of_two_parse_like_the_model(trained_parser, power):
+    scaled = _scaled(trained_parser, lambda w: math.ldexp(w, power))
+    for forms, tags in _parse_sentences(seed=4):
+        got = scaled.parse(forms, tags)
+        assert got == trained_parser.parse(forms, tags)
+        assert got == reference_parse(scaled, forms, tags)
+
+
+def test_the_trained_parser_never_falls_back(trained_parser, fallbacks):
+    model = _fresh_parser(trained_parser)
+    for forms, tags in _parse_sentences(seed=4) + _parse_sentences(seed=9):
+        assert model.parse(forms, tags) == reference_parse(model, forms, tags)
+    assert fallbacks[0] == 0
+
+
+_ULP = math.nextafter(1.0, 2.0)
+
+# (weights, the parse of ["Y", "X"] tagged ["T", "T"]): one scored decision,
+# where s0 is "X", s1 is "Y" and only the arc moves are open, whose lanes
+# cannot tell the move that the float sums pick
+_TIE_CASES = [
+    # right:a leads by one ulp
+    ({"bias": {"left:a": 1.0, "right:a": _ULP}}, ([0, 1], ["root", "a"])),
+    # left:a leads by one ulp
+    ({"bias": {"left:a": _ULP, "right:a": 1.0}}, ([2, 0], ["a", "root"])),
+    # an exact tie goes to the earliest move
+    ({"bias": {"left:a": 1.0, "right:a": 1.0}}, ([2, 0], ["a", "root"])),
+    # left:a scores (1e16 + 1.0) - 1e16 = 0.0 in feature order and loses to
+    # right:a's 0.5, although its exact sum, 1.0, is higher
+    ({"bias": {"left:a": 1e16, "right:a": 0.5}, "s0w=X": {"left:a": 1.0},
+      "s1w=Y": {"left:a": -1e16}}, ([0, 1], ["root", "a"])),
+]
+# left:a scores 2**53 in the first feature and 1.0 in each of the next 21,
+# which rounding to even drops, and -2**53 in the last: 0.0 in feature
+# order, below right:a's 1.0, while its exact sum, 21.0, leads by 20.0
+_FEATS = _node_feats([0, 1, 2], 3, {}, {}, _padded(["Y", "X"]), _padded(["T", "T"]))
+_ABSORBED = {feat: {"left:a": 1.0} for feat in _FEATS}
+_ABSORBED[_FEATS[0]] = {"left:a": 2.0**53, "right:a": 1.0}
+_ABSORBED[_FEATS[-1]] = {"left:a": -(2.0**53)}
+_TIE_CASES.append((_ABSORBED, ([0, 1], ["root", "a"])))
+# left:a scores 1.5e308 + 1.5e308 = inf, which stays inf, in feature order
+# and beats right:a's 7.5e307, although its exact sum is 0.0
+_TIE_CASES.append(({"bias": {"left:a": 1.5e308, "right:a": 7.5e307}, "s0w=X": {"left:a": 1.5e308},
+                    "s0t=T": {"left:a": -1.5e308}, "s0wt=X/T": {"left:a": -1.5e308}},
+                   ([2, 0], ["a", "root"])))
+
+
+@pytest.mark.parametrize("weights, want", _TIE_CASES, ids=[
+    "right-by-an-ulp", "left-by-an-ulp", "exact-tie", "cancelled-1e16", "absorbed-additions",
+    "overflowing-sum"])
+def test_uncertain_decisions_fall_back_to_the_float_sum(weights, want, fallbacks):
+    model = ParserModel(weights=weights, classes=["left:a", "right:a", SHIFT], labels=["a"])
+    assert model.parse(["Y", "X"], ["T", "T"]) == want
+    assert fallbacks[0] == 1
+    for n in range(1, 7):
+        forms, tags = [f"w{i}" for i in range(n)], ["T"] * n
+        assert model.parse(forms, tags) == reference_parse(model, forms, tags)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**900, 2.0**-900, 1e16, 1e-300],
+                         ids=["1", "2**900", "2**-900", "1e16", "1e-300"])
+def test_tie_heavy_tables_parse_like_the_reference(scale, fallbacks):
+    rng = random.Random(24)
+    for _ in range(25):
+        labels = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
+        classes = sorted([SHIFT] + [f"{kind}:{l}" for kind in ("left", "right") for l in labels])
+        table = _named_table(rng, classes + ["right:root"], _parser_feature_names(labels))
+        weights = {feat: {cls: w * scale for cls, w in row.items()} for feat, row in table.items()}
+        model = ParserModel(weights=weights, classes=classes, labels=labels)
+        for _ in range(6):
+            n = rng.randint(1, 8)
+            forms = rng.choices(_FORMS + ("w",), k=n)
+            tags = rng.choices(_TAGS + ("Q",), k=n)
+            assert model.parse(forms, tags) == reference_parse(model, forms, tags)
+    assert fallbacks[0] > 0
