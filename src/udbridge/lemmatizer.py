@@ -6,12 +6,18 @@ indexed under the form's final 1..4 characters plus the UPOS tag. At
 prediction time the longest matching suffix key wins; within a key,
 higher training frequency wins, then lexicographic script order. Unseen
 (suffix, upos) combinations fall back to the identity lemma.
+
+LemmaRules remembers the lemma of every (form, upos) it predicts, as the
+tagger remembers forms: when the memo holds util.MEMO_ENTRIES pairs, the
+next new pair clears it, and add() empties it, since a new script can
+outrank an old one under any of the suffixes it is counted for.
 """
 
 from dataclasses import dataclass, field
 
 from .conllu import Document
 from .errors import DataError
+from .util import MEMO_ENTRIES
 
 CASING_OPS = ("keep", "lower_first", "lower_all")
 MAX_SUFFIX = 4
@@ -67,13 +73,19 @@ def derive_script(form: str, lemma: str) -> EditScript:
 class LemmaRules:
     """The scripts seen per (suffix, upos). `rules` is filled by add(), or
     in full before the first predict(): predict() ranks each bucket once
-    and keeps the ranking until add() changes that bucket."""
+    and keeps the ranking until add() changes that bucket, and keeps each
+    lemma it gives until the next add()."""
 
     # (suffix, upos) -> {script: frequency}
     rules: dict[tuple[str, str], dict[EditScript, int]] = field(default_factory=dict)
     # (suffix, upos) -> its scripts ranked for predict(); never saved.
     # Handler threads share it: a dict get or set is atomic.
     _ranked: dict[tuple[str, str], tuple[EditScript, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # (form, upos) -> its lemma; never saved, cleared by add() and when it
+    # holds MEMO_ENTRIES pairs. Shared by handler threads as _ranked is.
+    _lemmas: dict[tuple[str, str], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -86,6 +98,7 @@ class LemmaRules:
             bucket = self.rules.setdefault(key, {})
             bucket[script] = bucket.get(script, 0) + count
             self._ranked.pop(key, None)
+        self._lemmas.clear()
 
     def _rank(self, key: tuple[str, str]) -> tuple[EditScript, ...]:
         """The scripts of a bucket, highest frequency first, then in
@@ -100,6 +113,17 @@ class LemmaRules:
     def predict(self, form: str, upos: str | None) -> str:
         if upos is None:
             return form
+        lemmas = self._lemmas
+        key = (form, upos)
+        lemma = lemmas.get(key)
+        if lemma is None:
+            lemma = self._lemma(form, upos)
+            if len(lemmas) >= MEMO_ENTRIES:
+                lemmas.clear()
+            lemmas[key] = lemma
+        return lemma
+
+    def _lemma(self, form: str, upos: str) -> str:
         ranked = self._ranked
         for length in range(min(MAX_SUFFIX, len(form)), 0, -1):
             key = (form[-length:], upos)

@@ -8,11 +8,14 @@ predicted labels, and digit/capitalization flags.
 
 The first 11 features of a token (bias, w=, lw=, pre1..4 and suf1..4)
 depend on its form alone, and scores are summed in feature order. So a
-TaggerModel remembers, per known form, each class's score after those 11
+TaggerModel remembers, per form, each class's score after those 11
 features, and a decision only adds the rest to a copy. The sums are the
 same float additions in the same order as summing every feature from 0.0,
 so the tags are the same. Those 11 features must stay first, or the memo
-gives different tags. A TaggerModel fills its memo as forms come.
+gives different tags. A TaggerModel fills its memo as forms come, with
+every form, known to the model or not: in cross-lingual use most forms are
+unseen, and they recur. When the memo holds util.MEMO_ENTRIES forms, the
+next new form clears it, so its memory is bounded whatever the input.
 
 The two previous-label features (pt= and ppt=) depend on the model and on
 the two classes just chosen. So each attribute also has a history table,
@@ -32,6 +35,7 @@ from itertools import repeat
 from .conllu import Document
 from .errors import DataError
 from .perceptron import AveragedPerceptron, Rows, compile_rows
+from .util import MEMO_ENTRIES
 
 ATTRIBUTES = ("upos", "xpos", "feats")
 
@@ -121,8 +125,11 @@ class TaggerModel:
             for attr in ATTRIBUTES
         ]
         # form -> per table, the class scores after its form features, then
-        # its tail features, for forms some table has a w= row for. Neither
-        # is saved. Handler threads share it: a dict get or set is atomic.
+        # its tail features; cleared when it holds MEMO_ENTRIES forms. Never
+        # saved. Handler threads share it: a dict get, set or clear() is
+        # atomic, and a form missing after another thread's clear() is only
+        # scored again. Threads that pass the size check together may each
+        # add one form past the bound before the next clear().
         self._memo: dict[str, tuple] = {}
 
     def predict_attribute(self, forms: list[str], attribute: str) -> list[str]:
@@ -131,7 +138,7 @@ class TaggerModel:
     def predict(self, forms: list[str]) -> dict[str, list[str]]:
         """Greedy left-to-right tags of `forms` per attribute."""
         tables, memo = self._tables, self._memo
-        known = []
+        entries = []
         for w in forms:
             entry = memo.get(w)
             if entry is None:
@@ -140,10 +147,10 @@ class TaggerModel:
                     tuple(_add_scores(rows, feats, [0.0] * len(classes)))
                     for rows, classes, _ in tables
                 ) + (tuple(_tail(w)),)
-                key = "w=" + w
-                if any(key in rows for rows, _, _ in tables):
-                    memo[w] = entry
-            known.append(entry)
+                if len(memo) >= MEMO_ENTRIES:
+                    memo.clear()
+                memo[w] = entry
+            entries.append(entry)
         lowered = [w.lower() for w in forms]
         pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
         nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
@@ -153,7 +160,7 @@ class TaggerModel:
             get = rows.get
             prev = prev2 = len(classes)  # the pad
             tags = []
-            for entry, pw, nw in zip(known, map(get, pws, empty), map(get, nws, empty)):
+            for entry, pw, nw in zip(entries, map(get, pws, empty), map(get, nws, empty)):
                 # the loop of _add_scores, inlined: this is the hot path
                 scores = list(entry[k])
                 for pairs in (pw, nw, history[prev2][prev]):

@@ -1,4 +1,5 @@
-"""Small shared helpers: rounding, hashing, and reading and writing text files."""
+"""Small shared helpers: rounding, hashing, reading and writing text files,
+and the bound of the scoring memos."""
 
 import contextlib
 import hashlib
@@ -7,6 +8,10 @@ import secrets
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import DataError
+
+# How many entries the tagger's form memo and the lemmatizer's lemma memo
+# each hold before they are cleared and start over.
+MEMO_ENTRIES = 1 << 12
 
 
 def round_half_up(value: float, decimals: int = 0) -> float:

@@ -153,10 +153,46 @@ def test_an_add_that_reorders_a_bucket_changes_the_next_prediction():
     assert rules == fresh
 
 
+def _lemma_queries() -> list[tuple[str, str]]:
+    queries = [(t.form, t.upos) for t in make_corpus(30, seed=4).tokens()]
+    return queries + [("Ljouwert", "PROPN"), ("x", "NOUN"), ("boeken", "VERB")]
+
+
+def test_remembered_lemmas_are_those_of_fresh_rules():
+    rules = train_lemmatizer(make_corpus(60, seed=3))
+    queries = _lemma_queries()
+    for _ in range(2):  # cold, then from the memo
+        for form, upos in queries:
+            assert rules.predict(form, upos) == LemmaRules(rules.rules).predict(form, upos)
+    assert rules._lemmas
+
+
+def test_an_add_after_predict_replaces_a_remembered_lemma():
+    rules = LemmaRules()
+    rules.add("boeken", "NOUN", "boek")
+    assert rules.predict("katten", "NOUN") == "katt"  # strip 2 under "en"
+    assert rules.predict("zzt", "VERB") == "zzt"  # no rule: the form itself
+    rules.add("katten", "NOUN", "kat")
+    rules.add("ratten", "NOUN", "rat")  # "tten", longer than "en", holds strip 3
+    rules.add("rint", "VERB", "rinne")
+    assert rules.predict("katten", "NOUN") == "kat"
+    assert rules.predict("zzt", "VERB") == "zzne"
+
+
+def test_lemma_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr("udbridge.lemmatizer.MEMO_ENTRIES", 8)
+    rules = train_lemmatizer(make_corpus(60, seed=3))
+    queries = _lemma_queries()
+    assert len(set(queries)) > 2 * 8
+    for _ in range(2):
+        for form, upos in queries:
+            assert rules.predict(form, upos) == LemmaRules(rules.rules).predict(form, upos)
+            assert 0 < len(rules._lemmas) <= 8
+
+
 def test_threads_sharing_one_set_of_rankings_get_fresh_lemmas():
     corpus = make_corpus(60, seed=3)
-    queries = [(t.form, t.upos) for t in make_corpus(30, seed=4).tokens()]
-    queries += [("Ljouwert", "PROPN"), ("x", "NOUN"), ("boeken", "VERB")]
+    queries = _lemma_queries()
     want = [train_lemmatizer(corpus).predict(form, upos) for form, upos in queries]
     rules = train_lemmatizer(corpus)
     start = threading.Barrier(4, timeout=30)

@@ -377,25 +377,24 @@ def test_memo_gives_the_reference_tags_cold_warm_and_filled_elsewhere(trained_ta
             assert other.predict_attribute(forms, attr) == tags[attr]
 
 
-def test_memo_holds_only_forms_with_a_word_row(trained_tagger):
-    model = _fresh(trained_tagger)
+def test_memo_stays_within_its_bound(trained_tagger, monkeypatch):
+    monkeypatch.setattr("udbridge.tagger.MEMO_ENTRIES", 8)
     sentences = _memo_sentences(seed=4)
-    for forms in sentences:
-        model.predict(forms)
-    known = {
-        form for forms in sentences for form in forms
-        if any(model.weights[attr].get("w=" + form) for attr in ATTRIBUTES)
-    }
-    assert set(model._memo) == known
-    for oov in ("Ljouwert", "12e", "x", "q", "2024", "boeken"):
-        assert oov not in model._memo
-    assert {"De", "man", "."} <= known
-
-
-def test_threads_sharing_one_memo_get_the_reference_tags(trained_tagger):
-    sentences = _memo_sentences(seed=4)
+    assert len({form for forms in sentences for form in forms}) > 2 * 8
     want = _reference(trained_tagger, sentences)
     model = _fresh(trained_tagger)
+    for _ in range(2):
+        for forms, tags in zip(sentences, want):
+            assert model.predict(forms) == tags
+            assert 0 < len(model._memo) <= 8
+    # forms without a word row are remembered too
+    model.predict(["Ljouwert", "q"])
+    assert {"Ljouwert", "q"} <= set(model._memo)
+    assert not any(model.weights[attr].get("w=Ljouwert") for attr in ATTRIBUTES)
+
+
+def _tag_in_four_threads(model: TaggerModel, sentences: list[list[str]]) -> list:
+    """Each of 4 threads tags every sentence, thread k from the kth on."""
     start = threading.Barrier(4, timeout=30)
     results: list = [None] * 4
 
@@ -414,8 +413,29 @@ def test_threads_sharing_one_memo_get_the_reference_tags(trained_tagger):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_threads_sharing_one_memo_get_the_reference_tags(trained_tagger):
+    sentences = _memo_sentences(seed=4)
+    want = _reference(trained_tagger, sentences)
+    results = _tag_in_four_threads(_fresh(trained_tagger), sentences)
     for k, got in enumerate(results):
         assert got == want[k:] + want[:k]
+
+
+def test_threads_sharing_one_memo_that_clears_get_the_reference_tags(
+    trained_tagger, monkeypatch
+):
+    monkeypatch.setattr("udbridge.tagger.MEMO_ENTRIES", 8)
+    sentences = _memo_sentences(seed=4)
+    want = _reference(trained_tagger, sentences)
+    model = _fresh(trained_tagger)
+    results = _tag_in_four_threads(model, sentences)
+    for k, got in enumerate(results):
+        assert got == want[k:] + want[:k]
+    # threads past the size check together may each add one form
+    assert len(model._memo) <= 8 + 3
 
 
 def test_history_features_are_added_before_the_tail():
