@@ -7,9 +7,11 @@ with a parse error.
 
 Reading is lenient about comment spacing but strict about structure: every
 malformed input raises ConlluParseError or ValidationError with a line
-number, never a bare IndexError/ValueError. Writing normalizes whitespace,
-sorts FEATS keys, and reconstructs the `text` comment from token forms plus
-SpaceAfter, so serialize(parse(x)) is a fixpoint after one pass.
+number, never a bare IndexError/ValueError. The reader fills each
+sentence's header (`Sentence.fill_header`); `tokenize` writes its own.
+Writing normalizes whitespace, sorts FEATS keys, and still reconstructs the
+`text` comment from token forms plus SpaceAfter, so serialize(parse(x)) is
+a fixpoint after one pass.
 """
 
 from collections.abc import Iterator
@@ -27,7 +29,7 @@ _COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS", "HEAD", "DEPREL", "D
 _KNOWN_COMMENT_KEYS = ("sent_id", "text", "genre")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """One syntactic word. Unset annotation fields are None (written as "_")."""
 
@@ -45,20 +47,24 @@ class Token:
     def feats_string(self) -> str:
         if not self.feats:
             return "_"
-        return "|".join(f"{k}={self.feats[k]}" for k in sorted(self.feats))
+        return "|".join([f"{k}={v}" for k, v in sorted(self.feats.items())])
 
     def space_after(self) -> bool:
-        return "SpaceAfter=No" not in self.misc.split("|")
+        return self.misc == "_" or "SpaceAfter=No" not in self.misc.split("|")
 
-    def columns(self) -> tuple[str, str, str, str, str, str]:
-        """LEMMA, UPOS, XPOS, FEATS, HEAD and DEPREL as written, "_" when unset."""
+    def columns(self) -> tuple[str, ...]:
+        """The ten columns of the token line as written, "_" when unset."""
         return (
+            str(self.id),
+            self.form,
             self.lemma if self.lemma is not None else "_",
             self.upos if self.upos is not None else "_",
             self.xpos if self.xpos is not None else "_",
             self.feats_string(),
             str(self.head) if self.head is not None else "_",
             self.deprel if self.deprel is not None else "_",
+            self.deps,
+            self.misc,
         )
 
     def copy(self) -> "Token":
@@ -76,7 +82,7 @@ class Token:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class MultiwordRange:
     """Surface token covering the syntactic words start..end inclusive."""
 
@@ -86,10 +92,10 @@ class MultiwordRange:
     misc: str = "_"
 
     def space_after(self) -> bool:
-        return "SpaceAfter=No" not in self.misc.split("|")
+        return self.misc == "_" or "SpaceAfter=No" not in self.misc.split("|")
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     tokens: list[Token]
     ranges: list[MultiwordRange] = field(default_factory=list)
@@ -158,8 +164,12 @@ class Sentence:
     def text(self) -> str:
         """The sentence text, rebuilt from the surface forms and SpaceAfter."""
         parts: list[str] = []
-        for form, _, space_after in self.surface_units():
-            parts += (form, " " if space_after else "")
+        if self.ranges:
+            for form, _, space_after in self.surface_units():
+                parts += (form, " " if space_after else "")
+        else:
+            for tok in self.tokens:
+                parts += (tok.form, " " if tok.space_after() else "")
         return "".join(parts[:-1])
 
     def copy(self) -> "Sentence":
@@ -240,11 +250,11 @@ def parse_conllu(text: str) -> Document:
         if line.strip():
             block.append((line_no, line))
         elif block:
-            sent = _parse_block(block)
-            sent.fill_header(len(doc.sentences) + 1)
-            doc.sentences.append(sent)
+            doc.sentences.append(_parse_block(block))
             block = []
     _check_document(doc)
+    for position, sent in enumerate(doc.sentences, start=1):
+        sent.fill_header(position)
     return doc
 
 
@@ -371,14 +381,22 @@ def _check_sentence(
 
 
 def _check_document(doc: Document) -> None:
+    """Each sentence's sent_id, or the 1-based position that `fill_header`
+    gives a sentence without one, must be unique."""
+    given = [sent.sent_id for sent in doc.sentences]
     seen: dict[str, int] = {}
-    for idx, sent in enumerate(doc.sentences, start=1):
-        sid = sent.sent_id
-        if sid in seen:
+    for idx, sid in enumerate(given, start=1):
+        key = str(idx) if sid is None else sid
+        first = seen.setdefault(key, idx)
+        if first == idx:
+            continue
+        if sid is None or given[first - 1] is None:
+            bare, other = (idx, first) if sid is None else (first, idx)
             raise ValidationError(
-                f"sent_id {sid!r} used by sentences {seen[sid]} and {idx}"
+                f"sentence {bare} has no sent_id, and its default {key!r}"
+                f" is the sent_id of sentence {other}"
             )
-        seen[sid] = idx
+        raise ValidationError(f"sent_id {key!r} used by sentences {first} and {idx}")
 
 
 def validate_document(doc: Document) -> None:
@@ -421,9 +439,7 @@ def serialize_conllu(doc: Document) -> str:
                         ]
                     )
                 )
-            lines.append(
-                "\t".join([str(tok.id), tok.form, *tok.columns(), tok.deps, tok.misc])
-            )
+            lines.append("\t".join(tok.columns()))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -451,5 +467,5 @@ def serialize_tsv(doc: Document, doc_id: str | None = None) -> str:
     for sent in doc.sentences:
         sid = sent.sent_id or ""
         for tok in sent.tokens:
-            out.append("\t".join([doc_id, sid, str(tok.id), tok.form, *tok.columns()]))
+            out.append("\t".join((doc_id, sid, *tok.columns()[:8])))
     return "\n".join(out) + "\n"

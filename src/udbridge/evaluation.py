@@ -66,7 +66,7 @@ def _flatten(doc: Document) -> tuple[list[_Word], list[tuple[int, int]], str]:
                 head_index = -1
             else:
                 head_index = base + tok.head - 1
-            lemma, upos, xpos, feats, _, deprel = tok.columns()
+            lemma, upos, xpos, feats, _, deprel = tok.columns()[2:8]
             words.append(_Word(span, lemma, upos, xpos, feats, deprel, head_index))
         sent_spans.append((sent_start, pos))
     return words, sent_spans, "".join(chars)

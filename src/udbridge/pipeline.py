@@ -69,6 +69,10 @@ class PipelineModel:
     tokenizer_cfg: TokenizerConfig = field(default_factory=TokenizerConfig)
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # each FEATS class decoded once; `predict_columns` copies it per token
+        self._feats = {label: parse_feats(label) for label in self.tagger.classes.get("feats", [])}
+
     def require_trained(self) -> None:
         if not self.tagger.classes.get("upos"):
             raise DataError("model has no trained tagger")
@@ -252,9 +256,7 @@ def predict_columns(model: PipelineModel, forms: list[str]):
     upos = predicted["upos"]
     heads, deprels = model.parser.parse(forms, upos)
     xpos = [None if x == "_" else x for x in predicted["xpos"]]
-    # each distinct label parsed once; each token gets its own dict
-    parsed = {label: parse_feats(label) for label in set(predicted["feats"])}
-    feats = [dict(parsed[label]) for label in predicted["feats"]]
+    feats = [dict(model._feats[label]) for label in predicted["feats"]]
     return upos, xpos, feats, heads, deprels
 
 

@@ -9,6 +9,11 @@ letter, and at the end of the input. Listed abbreviations keep their
 trailing period and never end a sentence.
 
 Every non-whitespace character of the input lands in exactly one token.
+A chunk with no configured punctuation at either end is one token as it
+is. The tokenizer writes each sentence's header itself: the sent_id is
+its 1-based position, and the `text` comment is its chunks joined by one
+space, which is what `Sentence.text()` rebuilds from the forms and
+SpaceAfter (the writer still rebuilds it).
 """
 
 from dataclasses import dataclass, field
@@ -83,24 +88,28 @@ def _split_chunk(chunk: str, cfg: TokenizerConfig) -> list[str]:
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> Document:
     """Tokenize raw text into an unannotated Document.
 
-    Sentences get sequential sent_ids; every token but the last one of its
-    whitespace chunk carries SpaceAfter=No.
+    Sentences get sequential sent_ids and their `text`; every token but the
+    last one of its whitespace chunk carries SpaceAfter=No.
     """
     if cfg is None:
         cfg = TokenizerConfig()
+    punctuation = cfg.punctuation
     doc = Document()
     tokens: list[Token] = []
+    words: list[str] = []
     chunks = text.split()
     for chunk, nxt in zip(chunks, [*chunks[1:], ""]):
-        parts = _split_chunk(chunk, cfg)
-        for form in parts[:-1]:
-            tokens.append(Token(id=len(tokens) + 1, form=form, misc="SpaceAfter=No"))
-        last = parts[-1]
-        tokens.append(Token(id=len(tokens) + 1, form=last))
-        ends = _is_terminator(last, cfg) and last not in cfg.abbreviations
-        if not nxt or (ends and nxt[0].isupper()):
-            sent = Sentence(tokens=tokens)
-            sent.fill_header(len(doc.sentences) + 1)
-            doc.sentences.append(sent)
+        words.append(chunk)
+        last = chunk
+        if chunk[0] in punctuation or chunk[-1] in punctuation:
+            *peeled, last = _split_chunk(chunk, cfg)
+            for form in peeled:
+                tokens.append(Token(len(tokens) + 1, form, misc="SpaceAfter=No"))
+        tokens.append(Token(len(tokens) + 1, last))
+        if not nxt or (nxt[0].isupper() and _is_terminator(last, cfg)
+                       and last not in cfg.abbreviations):
+            header = [("sent_id", str(len(doc.sentences) + 1)), ("text", " ".join(words))]
+            doc.sentences.append(Sentence(tokens, comments=header))
             tokens = []
+            words = []
     return doc

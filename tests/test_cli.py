@@ -53,6 +53,15 @@ def test_data_error_exits_two(tmp_path):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_a_defaulted_sent_id_that_repeats_a_given_one_exits_two(tmp_path, model_path):
+    conllu = tmp_path / "in.conllu"
+    conllu.write_text("# sent_id = 2\n1\tDe\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+                      "1\tman\t_\t_\t_\t_\t_\t_\t_\t_\n", encoding="utf-8")
+    code, out, err = run(["annotate", "--model", model_path, "--setting", "goldtok", str(conllu)])
+    assert code == 2 and out == ""
+    assert "sentence 2 has no sent_id, and its default '2' is the sent_id of sentence 1" in err
+
+
 # ----------------------------------------------------------------- fisher
 
 

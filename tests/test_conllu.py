@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from synth import malformed_fixtures, random_document
+from synth import malformed_fixtures, random_document, random_sentence
 
 from udbridge.conllu import (
     Document,
@@ -139,6 +139,76 @@ def test_round_trip_identity_on_random_documents():
     for case in range(200):
         doc = random_document(rng, f"rt{case}")
         assert parse_conllu(serialize_conllu(doc)) == doc
+
+
+def test_a_defaulted_sent_id_that_repeats_a_given_one_is_refused_on_reading():
+    text = "# sent_id = 2\n1\ta\t_\t_\t_\t_\t_\t_\t_\t_\n\n1\tb\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    with pytest.raises(
+        ValidationError,
+        match="^sentence 2 has no sent_id, and its default '2' is the sent_id of sentence 1$",
+    ):
+        parse_conllu(text)
+
+
+@pytest.mark.parametrize("write", [serialize_conllu, serialize_tsv])
+def test_a_defaulted_sent_id_that_repeats_a_given_one_is_refused_on_writing(write):
+    given_first = Document([
+        Sentence([Token(1, "a")], comments=[("sent_id", "2")]),
+        Sentence([Token(1, "b")]),
+    ])
+    with pytest.raises(ValidationError, match="^sentence 2 has no sent_id, and its default '2'"
+                                              " is the sent_id of sentence 1$"):
+        write(given_first)
+    given_last = Document([
+        Sentence([Token(1, "a")]),
+        Sentence([Token(1, "b")], comments=[("sent_id", "1")]),
+    ])
+    with pytest.raises(ValidationError, match="^sentence 1 has no sent_id, and its default '1'"
+                                              " is the sent_id of sentence 2$"):
+        write(given_last)
+
+
+def test_sentences_without_sent_ids_are_written_under_their_positions():
+    doc = Document([
+        Sentence([Token(1, "a")]),
+        Sentence([Token(1, "b")], comments=[("sent_id", "5")]),
+        Sentence([Token(1, "c")]),
+    ])
+    out = serialize_conllu(doc)
+    assert [line for line in out.splitlines() if line.startswith("# sent_id")] == [
+        "# sent_id = 1", "# sent_id = 5", "# sent_id = 3",
+    ]
+    assert [s.sent_id for s in parse_conllu(out).sentences] == ["1", "5", "3"]
+
+
+def _text_from_units(sent):
+    """Sentence.text() as its general path builds it, from surface_units()."""
+    parts = []
+    for form, _, space_after in sent.surface_units():
+        parts += (form, " " if space_after else "")
+    return "".join(parts[:-1])
+
+
+_MISCS = ["_", "SpaceAfter=No", "SpaceAfter=No|Lang=fy", "Lang=fy|SpaceAfter=No", "Lang=fy",
+          "SpaceAfter=Yes", "_|SpaceAfter=No"]
+
+
+def test_text_of_a_sentence_without_ranges_is_that_of_its_surface_units():
+    rng = random.Random(26)
+    for case in range(300):
+        sent = random_sentence(rng, f"t{case}")
+        for tok in sent.tokens:
+            tok.misc = rng.choice(_MISCS)
+        assert sent.text() == _text_from_units(sent)
+        sent.ranges = []
+        assert sent.text() == _text_from_units(sent)
+
+
+@pytest.mark.parametrize("misc", _MISCS)
+def test_space_after_reads_misc_as_its_split_items(misc):
+    want = "SpaceAfter=No" not in misc.split("|")
+    assert Token(1, "a", misc=misc).space_after() is want
+    assert MultiwordRange(1, 2, "ab", misc).space_after() is want
 
 
 def test_serialize_rejects_invalid_in_memory_document():

@@ -182,6 +182,29 @@ def test_annotation_bytes_are_golden(model, setting, seed, sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+def test_reannotating_the_raw_text_output_on_its_tokens_gives_its_bytes(model):
+    """The tokenizer's own `# text` and sent_ids read back and are written
+    again unchanged, edge punctuation and sentence breaks included."""
+    text = (corpus_text(make_corpus(20, seed=24)) + "\n" + _UNSEEN_LINES
+            + "\n«Goeie», sei er (earlik)... Wat?! Echt. (Ja.)")
+    raw = serialize_conllu(annotate(text, model, EvalSetting.RAW_TEXT))
+    again = annotate(parse_conllu(raw), model, EvalSetting.GOLD_TOK)
+    assert serialize_conllu(again) == raw
+
+
+def test_every_annotated_token_gets_its_own_feats_dict(model):
+    """FEATS classes are decoded once per model; a caller that edits one
+    token's feats must not change another token or a later annotation."""
+    text = corpus_text(make_corpus(10, seed=25))
+    doc = annotate(text, model, EvalSetting.RAW_TEXT)
+    feats = [tok.feats for tok in doc.tokens()]
+    assert len({id(f) for f in feats}) == len(feats)
+    want = serialize_conllu(doc)
+    for f in feats:
+        f["Edited"] = "Yes"
+    assert serialize_conllu(annotate(text, model, EvalSetting.RAW_TEXT)) == want
+
+
 def test_model_load_rejects_bad_files(tmp_path):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(DataError, match="cannot load"):

@@ -5,8 +5,9 @@ import random
 import pytest
 from oracles import reference_tokenize
 
+from udbridge.conllu import parse_conllu, serialize_conllu
 from udbridge.errors import DataError
-from udbridge.tokenizer import TokenizerConfig, tokenize
+from udbridge.tokenizer import TokenizerConfig, _split_chunk, tokenize
 
 
 def forms(doc):
@@ -89,11 +90,9 @@ def test_lone_period_chunk_is_a_terminator():
     assert forms(doc) == [["sa", "."], ["No"]]
 
 
-def test_tokenize_matches_the_character_scanning_reference():
-    """Chunking by str.split() and peeling plain strings gives the same
-    Document as scanning characters and comparing offsets: the same forms,
-    SpaceAfter and sentence breaks, on Unicode separators, period runs,
-    ellipses and abbreviations."""
+def _seeded_texts():
+    """3,000 seeded (text, config) pairs over Unicode separators, period runs,
+    ellipses and abbreviations ("..." among them), under three configs."""
     rng = random.Random(22)
     separators = " \n\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
     pieces = ["a", "Ab", "bgl", "s", "É", "ß", "1", ".", "..", "...", ",", "?", "!",
@@ -109,5 +108,35 @@ def test_tokenize_matches_the_character_scanning_reference():
             pool = separators if rng.random() < 0.3 else pieces
             parts.append(rng.choice(pool))
         text = "".join(parts)
-        cfg = rng.choice(configs)
+        yield text, rng.choice(configs)
+
+
+def test_tokenize_matches_the_character_scanning_reference():
+    """Chunking by str.split() and peeling plain strings gives the same
+    Document as scanning characters and comparing offsets: the same forms,
+    SpaceAfter and sentence breaks, on Unicode separators, period runs,
+    ellipses and abbreviations."""
+    for text, cfg in _seeded_texts():
         assert tokenize(text, cfg) == reference_tokenize(text, cfg), repr(text)
+
+
+def test_the_text_comment_is_the_rebuilt_text_and_reads_back():
+    """The tokenizer writes `# text` as the chunks joined by one space; it
+    must be what Sentence.text() rebuilds, and the written file must read
+    back as the same document."""
+    for text, cfg in _seeded_texts():
+        doc = tokenize(text, cfg)
+        for sent in doc.sentences:
+            assert dict(sent.comments)["text"] == sent.text(), repr(text)
+        assert parse_conllu(serialize_conllu(doc)) == doc, repr(text)
+
+
+def test_a_chunk_without_edge_punctuation_is_the_token_that_peeling_gives():
+    """tokenize keeps such a chunk whole without peeling it."""
+    checked = 0
+    for text, cfg in _seeded_texts():
+        for chunk in text.split():
+            if chunk[0] not in cfg.punctuation and chunk[-1] not in cfg.punctuation:
+                assert _split_chunk(chunk, cfg) == [chunk], (chunk, cfg)
+                checked += 1
+    assert checked > 1000
