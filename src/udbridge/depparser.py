@@ -36,10 +36,11 @@ picks the same moves from integers:
   order from 0.0 and takes the first highest score: the reference by
   definition. Trained models seldom need it.
 
-parse remembers the packed rows each (form, tag) token adds in the s0, s1,
-s2, b0 and b1 slots, those of each (s0, s1, b0) tag triple and of each
-s0s1w feature with a row, and keeps the arc-label and distance rows in
-small tables. A token whose form has no form row shares its tag's entry.
+parse remembers, through util.remember, the packed rows each (form, tag)
+token adds in the s0, s1, s2, b0 and b1 slots, those of each (s0, s1, b0)
+tag triple and of each s0s1w feature with a row, and keeps the arc-label
+and distance rows in small tables. A token whose form has no form row
+stores its tag's entry itself, so an unseen form costs one dict slot.
 
 ParserModel also decodes each move once into (kind, label), and parse runs
 arc-standard on plain lists and dicts, picking moves by class index.
@@ -58,6 +59,7 @@ from itertools import chain
 from .conllu import Document, Sentence
 from .errors import DataError
 from .perceptron import AveragedPerceptron, compile_rows, lane_bias, pack
+from .util import remember
 
 SHIFT = "shift"
 _NONE = "<none>"
@@ -180,11 +182,7 @@ def check_moves(classes: list[str], root_label: str) -> None:
         raise DataError(f"parser root_label {root_label!r} is empty or has whitespace")
 
 
-# The feature prefixes that name a token's word rows, its form/tag rows and
-# its tag rows, and the arc-label features in feature order.
-_WORD_SLOTS = ("s0w=", "s1w=", "b0w=", "b1w=")
-_WORD_TAG_SLOTS = ("s0wt=", "s1wt=", "b0wt=")
-_TAG_SLOTS = ("s0t=", "s1t=", "s2t=", "b0t=", "b1t=")
+# The arc-label features in feature order.
 _LABEL_SLOTS = ("s0lc=", "s0rc=", "s1lc=", "s1rc=")
 # The most features a decision has: those of a state with three stack nodes.
 _TERMS = len(_node_feats([0, 1, 2], 3, {}, {}, _padded(["a", "b"]), _padded(["a", "b"])))
@@ -216,9 +214,8 @@ class ParserModel:
         self._nbytes = 8 * len(self._moves)
         # The packed tables parse() scores from; never saved. Per arc label
         # (and _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
-        # distance; and four memos filled as tokens come. Handler threads
-        # share the memos: a dict get or set is atomic, and two threads
-        # that miss the same key store equal entries.
+        # distance; and four memos filled as tokens come, through
+        # util.remember.
         labels = {move.partition(":")[2] for move in self._moves if move != SHIFT}
         self._label_rows = {
             label: tuple(self._pack(slot + label) for slot in _LABEL_SLOTS)
@@ -227,12 +224,6 @@ class ParserModel:
         self._dist_rows = tuple(self._pack(f"dist={d}") for d in range(6))
         # The lane bias 2**63 and the bias row, which every s0 slot holds.
         self._bias = lane_bias(len(self._moves)) + self._pack("bias")
-        # The forms with a word row, the form/tag pairs with a form/tag row
-        # and the tags with a tag row, as the features spell them.
-        self._row_forms, self._row_form_tags, self._row_tags = (
-            {feat.partition("=")[2] for feat in rows if feat.startswith(slots)}
-            for slots in (_WORD_SLOTS, _WORD_TAG_SLOTS, _TAG_SLOTS)
-        )
         # (form, tag) -> the rows of the s0, s1, s2, b0 and b1 slots
         self._tokens: dict[tuple[str, str], tuple[int, ...]] = {}
         # tag -> the same, for a form without form rows
@@ -248,56 +239,43 @@ class ParserModel:
         return pack(chain.from_iterable(get(feat, ()) for feat in feats), self._shift)
 
     def _tag(self, tag: str) -> tuple[int, ...]:
-        """The slot rows of a token whose form has no form row. Remembered
-        only for a tag with a tag row."""
-        entry = (
+        """The slot rows of a token whose form has no form row."""
+        return remember(self._tags, tag, (
             self._bias + self._pack("s0t=" + tag),
             self._pack("s1t=" + tag),
             self._pack("s2t=" + tag),
             self._pack("b0t=" + tag),
             self._pack("b1t=" + tag),
-        )
-        if tag in self._row_tags:
-            self._tags[tag] = entry
-        return entry
+        ))
 
     def _token(self, key: tuple[str, str]) -> tuple[int, ...]:
         """The rows of a (form, tag) token in the s0, s1, s2, b0 and b1
-        slots. A form without any of its seven form rows shares the entry
-        of its tag; others are remembered only for a form with a word row
-        and a tag with a tag row, so the memos never outgrow the model."""
+        slots. A form whose seven form rows add nothing stores the entry of
+        its tag itself."""
         form, tag = key
         wt = form + "/" + tag
         entry = self._tags.get(tag) or self._tag(tag)
-        worded = form in self._row_forms
-        if not worded and wt not in self._row_form_tags:
-            return entry
-        s0, s1, s2, b0, b1 = entry
-        entry = (
-            s0 + self._pack("s0w=" + form, "s0wt=" + wt),
-            s1 + self._pack("s1w=" + form, "s1wt=" + wt),
-            s2,
-            b0 + self._pack("b0w=" + form, "b0wt=" + wt),
-            b1 + self._pack("b1w=" + form),
+        s0w, s1w, b0w, b1w = words = (
+            self._pack("s0w=" + form, "s0wt=" + wt),
+            self._pack("s1w=" + form, "s1wt=" + wt),
+            self._pack("b0w=" + form, "b0wt=" + wt),
+            self._pack("b1w=" + form),
         )
-        if worded and tag in self._row_tags:
-            self._tokens[key] = entry
-        return entry
+        if any(words):
+            s0, s1, s2, b0, b1 = entry
+            entry = (s0 + s0w, s1 + s1w, s2, b0 + b0w, b1 + b1w)
+        return remember(self._tokens, key, entry)
 
     def _triple(self, key: tuple[str, str, str]) -> int:
-        """The tag-pair and tag-triple rows of (s0, s1, b0) tags.
-        Remembered only when all three tags have a tag row."""
+        """The tag-pair and tag-triple rows of (s0, s1, b0) tags."""
         s0t, s1t, b0t = key
-        entry = self._pack("s0s1t=" + s0t + "+" + s1t, "s0b0t=" + s0t + "+" + b0t,
-                           "s1b0t=" + s1t + "+" + b0t, "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t)
-        if self._row_tags.issuperset(key):
-            self._triples[key] = entry
-        return entry
+        return remember(self._triples, key, self._pack(
+            "s0s1t=" + s0t + "+" + s1t, "s0b0t=" + s0t + "+" + b0t,
+            "s1b0t=" + s1t + "+" + b0t, "s0s1b0t=" + s0t + "+" + s1t + "+" + b0t))
 
     def _word_pair(self, feat: str) -> int:
         """The row of an s0s1w feature that has one."""
-        packed = self._s0s1w[feat] = self._pack(feat)
-        return packed
+        return remember(self._s0s1w, feat, self._pack(feat))
 
     def parse(self, forms: list[str], tags: list[str]) -> tuple[list[int], list[str]]:
         """Greedy parse; returns 1-based heads and deprels per token.

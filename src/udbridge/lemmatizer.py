@@ -8,16 +8,16 @@ higher training frequency wins, then lexicographic script order. Unseen
 (suffix, upos) combinations fall back to the identity lemma.
 
 LemmaRules remembers the lemma of every (form, upos) it predicts, as the
-tagger remembers forms: when the memo holds util.MEMO_ENTRIES pairs, the
-next new pair clears it, and add() empties it, since a new script can
-outrank an old one under any of the suffixes it is counted for.
+tagger remembers forms, through util.remember, and add() empties that
+memo, since a new script can outrank an old one under any of the suffixes
+it is counted for.
 """
 
 from dataclasses import dataclass, field
 
 from .conllu import Document
 from .errors import DataError
-from .util import MEMO_ENTRIES
+from .util import remember
 
 CASING_OPS = ("keep", "lower_first", "lower_all")
 MAX_SUFFIX = 4
@@ -72,19 +72,14 @@ def derive_script(form: str, lemma: str) -> EditScript:
 @dataclass
 class LemmaRules:
     """The scripts seen per (suffix, upos). `rules` is filled by add(), or
-    in full before the first predict(): predict() ranks each bucket once
-    and keeps the ranking until add() changes that bucket, and keeps each
-    lemma it gives until the next add()."""
+    in full before the first predict(): predict() ranks the buckets of a
+    (form, upos) it has not met and keeps the lemma it gives until the next
+    add()."""
 
     # (suffix, upos) -> {script: frequency}
     rules: dict[tuple[str, str], dict[EditScript, int]] = field(default_factory=dict)
-    # (suffix, upos) -> its scripts ranked for predict(); never saved.
-    # Handler threads share it: a dict get or set is atomic.
-    _ranked: dict[tuple[str, str], tuple[EditScript, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # (form, upos) -> its lemma; never saved, cleared by add() and when it
-    # holds MEMO_ENTRIES pairs. Shared by handler threads as _ranked is.
+    # (form, upos) -> its lemma; filled by util.remember, cleared by add(),
+    # never saved.
     _lemmas: dict[tuple[str, str], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -97,37 +92,21 @@ class LemmaRules:
             key = (form[-length:], upos)
             bucket = self.rules.setdefault(key, {})
             bucket[script] = bucket.get(script, 0) + count
-            self._ranked.pop(key, None)
         self._lemmas.clear()
-
-    def _rank(self, key: tuple[str, str]) -> tuple[EditScript, ...]:
-        """The scripts of a bucket, highest frequency first, then in
-        lexicographic script order; () for no bucket."""
-        bucket = self.rules.get(key)
-        if not bucket:
-            return ()
-        ranked = sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))
-        self._ranked[key] = scripts = tuple(script for script, _freq in ranked)
-        return scripts
 
     def predict(self, form: str, upos: str | None) -> str:
         if upos is None:
             return form
-        lemmas = self._lemmas
         key = (form, upos)
-        lemma = lemmas.get(key)
+        lemma = self._lemmas.get(key)
         if lemma is None:
-            lemma = self._lemma(form, upos)
-            if len(lemmas) >= MEMO_ENTRIES:
-                lemmas.clear()
-            lemmas[key] = lemma
+            lemma = remember(self._lemmas, key, self._lemma(form, upos))
         return lemma
 
     def _lemma(self, form: str, upos: str) -> str:
-        ranked = self._ranked
         for length in range(min(MAX_SUFFIX, len(form)), 0, -1):
-            key = (form[-length:], upos)
-            for script in ranked.get(key) or self._rank(key):
+            bucket = self.rules.get((form[-length:], upos), {})
+            for _freq, script in sorted((-freq, script) for script, freq in bucket.items()):
                 result = script.apply(form)
                 if result is not None:
                     return result

@@ -14,8 +14,7 @@ same float additions in the same order as summing every feature from 0.0,
 so the tags are the same. Those 11 features must stay first, or the memo
 gives different tags. A TaggerModel fills its memo as forms come, with
 every form, known to the model or not: in cross-lingual use most forms are
-unseen, and they recur. When the memo holds util.MEMO_ENTRIES forms, the
-next new form clears it, so its memory is bounded whatever the input.
+unseen, and they recur. It stores through util.remember, which bounds it.
 
 The two previous-label features (pt= and ppt=) depend on the model and on
 the two classes just chosen. So each attribute also has a history table,
@@ -35,7 +34,7 @@ from itertools import repeat
 from .conllu import Document
 from .errors import DataError
 from .perceptron import AveragedPerceptron, Rows, compile_rows
-from .util import MEMO_ENTRIES
+from .util import remember
 
 ATTRIBUTES = ("upos", "xpos", "feats")
 
@@ -125,11 +124,7 @@ class TaggerModel:
             for attr in ATTRIBUTES
         ]
         # form -> per table, the class scores after its form features, then
-        # its tail features; cleared when it holds MEMO_ENTRIES forms. Never
-        # saved. Handler threads share it: a dict get, set or clear() is
-        # atomic, and a form missing after another thread's clear() is only
-        # scored again. Threads that pass the size check together may each
-        # add one form past the bound before the next clear().
+        # its tail features; filled by util.remember, never saved.
         self._memo: dict[str, tuple] = {}
 
     def predict_attribute(self, forms: list[str], attribute: str) -> list[str]:
@@ -143,13 +138,10 @@ class TaggerModel:
             entry = memo.get(w)
             if entry is None:
                 feats = _form_features(w)
-                entry = tuple(
+                entry = remember(memo, w, tuple(
                     tuple(_add_scores(rows, feats, [0.0] * len(classes)))
                     for rows, classes, _ in tables
-                ) + (tuple(_tail(w)),)
-                if len(memo) >= MEMO_ENTRIES:
-                    memo.clear()
-                memo[w] = entry
+                ) + (tuple(_tail(w)),))
             entries.append(entry)
         lowered = [w.lower() for w in forms]
         pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]

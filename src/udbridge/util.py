@@ -1,5 +1,5 @@
 """Small shared helpers: rounding, hashing, reading and writing text files,
-and the bound of the scoring memos."""
+and the rule of the scoring memos."""
 
 import contextlib
 import hashlib
@@ -9,9 +9,27 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import DataError
 
-# How many entries the tagger's form memo and the lemmatizer's lemma memo
-# each hold before they are cleared and start over.
+# How many entries each scoring memo holds before it is cleared and starts
+# over (see remember).
 MEMO_ENTRIES = 1 << 12
+
+
+def remember(memo: dict, key, value):
+    """Store `value` under `key` in `memo` and return it; a memo that holds
+    MEMO_ENTRIES entries is cleared first, so its memory is bounded
+    whatever the input.
+
+    Every scoring memo (the tagger's, the lemmatizer's and the parser's)
+    stores through this, and handler threads share them: a dict get, set
+    or clear() is atomic; two threads that miss the same key store equal
+    values; a key lost to another thread's clear() is only computed again;
+    and threads that pass the size check together may each add one entry
+    past the bound before the next clear().
+    """
+    if len(memo) >= MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def round_half_up(value: float, decimals: int = 0) -> float:

@@ -180,7 +180,7 @@ def test_an_add_after_predict_replaces_a_remembered_lemma():
 
 
 def test_lemma_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr("udbridge.lemmatizer.MEMO_ENTRIES", 8)
+    monkeypatch.setattr("udbridge.util.MEMO_ENTRIES", 8)
     rules = train_lemmatizer(make_corpus(60, seed=3))
     queries = _lemma_queries()
     assert len(set(queries)) > 2 * 8

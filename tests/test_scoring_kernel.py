@@ -378,7 +378,7 @@ def test_memo_gives_the_reference_tags_cold_warm_and_filled_elsewhere(trained_ta
 
 
 def test_memo_stays_within_its_bound(trained_tagger, monkeypatch):
-    monkeypatch.setattr("udbridge.tagger.MEMO_ENTRIES", 8)
+    monkeypatch.setattr("udbridge.util.MEMO_ENTRIES", 8)
     sentences = _memo_sentences(seed=4)
     assert len({form for forms in sentences for form in forms}) > 2 * 8
     want = _reference(trained_tagger, sentences)
@@ -393,14 +393,15 @@ def test_memo_stays_within_its_bound(trained_tagger, monkeypatch):
     assert not any(model.weights[attr].get("w=Ljouwert") for attr in ATTRIBUTES)
 
 
-def _tag_in_four_threads(model: TaggerModel, sentences: list[list[str]]) -> list:
-    """Each of 4 threads tags every sentence, thread k from the kth on."""
+def _in_four_threads(call, inputs: list) -> list:
+    """Each of 4 threads calls `call` on every input, thread k from the kth
+    on."""
     start = threading.Barrier(4, timeout=30)
     results: list = [None] * 4
 
     def work(k):
         start.wait()
-        results[k] = [model.predict(forms) for forms in sentences[k:] + sentences[:k]]
+        results[k] = [call(x) for x in inputs[k:] + inputs[:k]]
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -419,7 +420,7 @@ def _tag_in_four_threads(model: TaggerModel, sentences: list[list[str]]) -> list
 def test_threads_sharing_one_memo_get_the_reference_tags(trained_tagger):
     sentences = _memo_sentences(seed=4)
     want = _reference(trained_tagger, sentences)
-    results = _tag_in_four_threads(_fresh(trained_tagger), sentences)
+    results = _in_four_threads(_fresh(trained_tagger).predict, sentences)
     for k, got in enumerate(results):
         assert got == want[k:] + want[:k]
 
@@ -427,11 +428,11 @@ def test_threads_sharing_one_memo_get_the_reference_tags(trained_tagger):
 def test_threads_sharing_one_memo_that_clears_get_the_reference_tags(
     trained_tagger, monkeypatch
 ):
-    monkeypatch.setattr("udbridge.tagger.MEMO_ENTRIES", 8)
+    monkeypatch.setattr("udbridge.util.MEMO_ENTRIES", 8)
     sentences = _memo_sentences(seed=4)
     want = _reference(trained_tagger, sentences)
     model = _fresh(trained_tagger)
-    results = _tag_in_four_threads(model, sentences)
+    results = _in_four_threads(model.predict, sentences)
     for k, got in enumerate(results):
         assert got == want[k:] + want[:k]
     # threads past the size check together may each add one form
@@ -485,8 +486,8 @@ def _fresh_parser(model: ParserModel) -> ParserModel:
                        root_label=model.root_label)
 
 
-def _memo_sizes(model: ParserModel) -> tuple[int, int]:
-    return len(model._tokens), len(model._triples)
+def _memos(model: ParserModel) -> tuple[dict, ...]:
+    return model._tokens, model._tags, model._triples, model._s0s1w
 
 
 def test_parser_memo_gives_the_reference_parse_cold_warm_and_filled_elsewhere(trained_parser):
@@ -504,37 +505,35 @@ def test_parser_memo_gives_the_reference_parse_cold_warm_and_filled_elsewhere(tr
     assert [other.parse(forms, tags) for forms, tags in sentences] == want
 
 
-def test_parser_memo_holds_only_known_forms_and_tags(trained_parser):
+def test_parser_memos_stay_within_their_bound(trained_parser, monkeypatch):
+    monkeypatch.setattr("udbridge.util.MEMO_ENTRIES", 8)
+    sentences = _parse_sentences(seed=4)
+    assert len({key for forms, tags in sentences for key in zip(forms, tags)}) > 2 * 8
+    want = [reference_parse(trained_parser, forms, tags) for forms, tags in sentences]
     model = _fresh_parser(trained_parser)
-    for forms, tags in _parse_sentences(seed=4):
-        model.parse(forms, tags)
-    weights = model.weights
-
-    def known_form(form):
-        return any(slot + form in weights for slot in ("s0w=", "s1w=", "b0w=", "b1w="))
-
-    def known_tag(tag):
-        return any(slot + tag in weights for slot in ("s0t=", "s1t=", "s2t=", "b0t=", "b1t="))
-
-    assert all(known_form(form) and known_tag(tag) for form, tag in model._tokens)
-    assert all(known_tag(tag) for triple in model._triples for tag in triple)
-    assert not any(tag in ("ZZZ", "q", "X1") for _, tag in model._tokens)
+    for _ in range(2):  # cold, then warm
+        for (forms, tags), parse in zip(sentences, want):
+            assert model.parse(forms, tags) == parse
+            assert all(len(memo) <= 8 for memo in _memos(model))
+    # a form without form rows stores its tag's entry, made-up tag or not
+    assert not any(feat.endswith(("=Ljouwert", "=Ljouwert/ZZZ")) for feat in model.weights)
+    model = _fresh_parser(trained_parser)
+    model.parse(["Ljouwert"], ["ZZZ"])
+    assert model._tokens[("Ljouwert", "ZZZ")] is model._tags["ZZZ"]
 
 
-def test_goldtokmorph_with_made_up_tags_and_unseen_forms_leaves_the_memo_alone(
+def test_goldtokmorph_with_made_up_tags_and_unseen_forms_gives_the_reference(
     trained_tagger, trained_parser
 ):
     model = PipelineModel(tagger=trained_tagger, lemma_rules=LemmaRules(),
                           parser=_fresh_parser(trained_parser))
     for forms, tags in _parse_sentences(seed=4):
         model.parser.parse(forms, tags)
-    before = _memo_sizes(model.parser)
     doc = tokenize("Ljouwert fynt 12e x-beamen. De Wytske man boeken q.")
     for k, tok in enumerate(doc.tokens()):
         tok.upos = f"TAG{k % 3}"
     for _ in range(2):
         out = annotate(doc, model, EvalSetting.GOLD_TOK_MORPH)
-        assert _memo_sizes(model.parser) == before
     for sent, got in zip(doc.sentences, out.sentences):
         forms = [t.form for t in sent.tokens]
         tags = [t.upos for t in sent.tokens]
@@ -543,31 +542,27 @@ def test_goldtokmorph_with_made_up_tags_and_unseen_forms_leaves_the_memo_alone(
         assert [t.deprel for t in got.tokens] == deprels
 
 
-def test_threads_sharing_one_parser_memo_get_the_reference_parse(trained_parser):
-    sentences = _parse_sentences(seed=4)
-    want = [reference_parse(trained_parser, forms, tags) for forms, tags in sentences]
-    model = _fresh_parser(trained_parser)
-    start = threading.Barrier(4, timeout=30)
-    results: list = [None] * 4
-
-    def work(k):
-        start.wait()
-        order = sentences[k:] + sentences[:k]
-        results[k] = [model.parse(forms, tags) for forms, tags in order]
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+def _parse_in_four_threads(model: ParserModel, sentences: list) -> None:
+    """Each of 4 threads parses every sentence, thread k from the kth on,
+    and gets the reference parses."""
+    want = [reference_parse(model, forms, tags) for forms, tags in sentences]
+    results = _in_four_threads(lambda sent: model.parse(*sent), sentences)
     for k, got in enumerate(results):
         assert got == want[k:] + want[:k]
+
+
+def test_threads_sharing_one_parser_memo_get_the_reference_parse(trained_parser):
+    _parse_in_four_threads(_fresh_parser(trained_parser), _parse_sentences(seed=4))
+
+
+def test_threads_sharing_parser_memos_that_clear_get_the_reference_parse(
+    trained_parser, monkeypatch
+):
+    monkeypatch.setattr("udbridge.util.MEMO_ENTRIES", 8)
+    model = _fresh_parser(trained_parser)
+    _parse_in_four_threads(model, _parse_sentences(seed=4))
+    # threads past the size check together may each add one entry
+    assert all(len(memo) <= 8 + 3 for memo in _memos(model))
 
 
 def test_s1_rows_are_added_after_the_s0_scores():
@@ -586,7 +581,7 @@ def test_s1_rows_are_added_after_the_s0_scores():
         got = model.parse(["Y", "X"], ["T", "T"])
         assert got == reference_parse(model, ["Y", "X"], ["T", "T"])
         assert got == ([2, 0], ["a", "root"])
-    assert set(model._tokens) == {("X", "T"), ("Y", "T")}
+    assert set(model._tokens) == {("X", "T"), ("Y", "T"), ("<none>", "<none>")}
 
 
 # ------------------------------------------------ the parser's certified lanes
