@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import ConlluParseError, ValidationError
+from .util import tsv
 
 UPOS_TAGS = frozenset(
     "ADJ ADP ADV AUX CCONJ DET INTJ NOUN NUM PART PRON PROPN PUNCT SCONJ SYM VERB X".split()
@@ -91,8 +92,7 @@ class MultiwordRange:
     surface_form: str
     misc: str = "_"
 
-    def space_after(self) -> bool:
-        return self.misc == "_" or "SpaceAfter=No" not in self.misc.split("|")
+    space_after = Token.space_after
 
 
 @dataclass(slots=True)
@@ -458,14 +458,13 @@ TSV_HEADER = (
 )
 
 
-def serialize_tsv(doc: Document, doc_id: str | None = None) -> str:
-    """Flat one-row-per-token spreadsheet export (range lines are not rows)."""
+def serialize_tsv(doc: Document) -> str:
+    """Flat one-row-per-token spreadsheet export (range lines are not rows);
+    the doc_id column holds doc.metadata["doc_id"], or nothing."""
     validate_document(doc)
-    if doc_id is None:
-        doc_id = doc.metadata.get("doc_id", "")
-    out = ["\t".join(TSV_HEADER)]
+    doc_id = doc.metadata.get("doc_id", "")
+    rows = [TSV_HEADER]
     for sent in doc.sentences:
         sid = sent.sent_id or ""
-        for tok in sent.tokens:
-            out.append("\t".join((doc_id, sid, *tok.columns()[:8])))
-    return "\n".join(out) + "\n"
+        rows += [(doc_id, sid, *tok.columns()[:8]) for tok in sent.tokens]
+    return tsv(rows)

@@ -13,8 +13,8 @@ evaluation and reporting always use the original trees.
 
 The reference decoder picks the first of the highest-scoring open moves,
 where a move's score is the float sum of the rows of the decision's
-_node_feats features, added in feature order from 0.0. ParserModel.parse
-picks the same moves from integers:
+_node_feats features, added in feature order from 0.0: perceptron.add_rows,
+the float reference. ParserModel.parse picks the same moves from integers:
 
 - Lanes. Each move (class) has a 64-bit lane in one packed int, as in
   perceptron.py. A packed row holds round(w * 2**K) in the lane of each of
@@ -32,9 +32,9 @@ picks the same moves from integers:
   ceil(F + 2**K * gamma * F * M). If the best open lane beats every other
   open lane by more than 2 * E, its move is the reference's unique argmax.
 - Fallback. Otherwise (ties, near-ties, and every decision of a model
-  whose float sums could overflow) parse sums the rows of _node_feats in
-  order from 0.0 and takes the first highest score: the reference by
-  definition. Trained models seldom need it.
+  whose float sums could overflow) parse scores the moves with add_rows
+  and takes the first highest score: the reference by definition. Trained
+  models seldom need it.
 
 parse remembers, through util.remember, the packed rows each (form, tag)
 token adds in the s0, s1, s2, b0 and b1 slots, those of each (s0, s1, b0)
@@ -42,8 +42,9 @@ tag triple and of each s0s1w feature with a row, and keeps the arc-label
 and distance rows in small tables. A token whose form has no form row
 stores its tag's entry itself, so an unseen form costs one dict slot.
 
-ParserModel also decodes each move once into (kind, label), and parse runs
-arc-standard on plain lists and dicts, picking moves by class index.
+A ParserModel checks its moves (check_moves) when it is built and decodes
+each once into (kind, label); parse runs arc-standard on plain lists and
+dicts, picking moves by class index.
 train_parser steps the same plain values (the stack, the next buffer node
 and the leftmost / rightmost child labels) along the static oracle, and
 builds each decision's features with _node_feats.
@@ -58,7 +59,7 @@ from itertools import chain
 
 from .conllu import Document, Sentence
 from .errors import DataError
-from .perceptron import AveragedPerceptron, compile_rows, lane_bias, pack
+from .perceptron import AveragedPerceptron, add_rows, compile_rows, lane_bias, pack
 from .util import remember
 
 SHIFT = "shift"
@@ -197,12 +198,14 @@ class ParserModel:
     root_label: str = "root"
 
     def __post_init__(self):
+        if self.classes:
+            check_moves(self.classes, self.root_label)
         # The moves scored (sorted, with "shift"), the weights frozen over
         # them, and each move decoded as (kind, label); never saved. Every
         # other move is left:<label> or right:<label>, so shift sorts last.
         self._moves = sorted(set(self.classes) | {SHIFT})
         rows = self._rows = compile_rows(self.weights, self._moves)
-        self._decoded = [_decode_move(move) for move in self._moves]
+        self._decoded = [move.partition(":")[::2] for move in self._moves]
         # The fixed-point scale and the lead that certifies a lane argmax
         # (see the module docstring); no lead does if a float sum of
         # _TERMS weights could overflow.
@@ -216,7 +219,7 @@ class ParserModel:
         # (and _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
         # distance; and four memos filled as tokens come, through
         # util.remember.
-        labels = {move.partition(":")[2] for move in self._moves if move != SHIFT}
+        labels = {label for kind, label in self._decoded if kind != SHIFT}
         self._label_rows = {
             label: tuple(self._pack(slot + label) for slot in _LABEL_SLOTS)
             for label in labels | {self.root_label, _NONE}
@@ -338,10 +341,8 @@ class ParserModel:
             lanes[move] = 0  # below every lane: max(lanes) is the runner-up
             if best - max(lanes) <= margin:
                 # not certified: sum the rows in feature order from 0.0
-                scores = [0.0] * len(decoded)
-                for f in _node_feats(stack, b0, lc, rc, pforms, ptags):
-                    for i, w in rows.get(f, ()):
-                        scores[i] += w
+                feats = _node_feats(stack, b0, lc, rc, pforms, ptags)
+                scores = add_rows(rows, feats, len(decoded))
                 if b0 > n:
                     scores.pop()
                 move = scores.index(max(scores))
@@ -358,16 +359,6 @@ class ParserModel:
                 stack.pop()
                 heads[s0] = s1
                 deprels[s0] = rc[s1] = label
-
-
-def _decode_move(move: str) -> tuple[str, str]:
-    """(kind, label) of a move: (SHIFT, "") or ("left" or "right", label)."""
-    if move == SHIFT:
-        return SHIFT, ""
-    if not move.startswith(("left:", "right:")):
-        raise DataError(f"unknown transition {move!r}")
-    kind, _, label = move.partition(":")
-    return kind, label
 
 
 def _sentence_arrays(sent: Sentence) -> tuple[list[str], list[str], list[int], list[str]]:

@@ -18,7 +18,7 @@ from .conllu import Document
 from .errors import DataError
 from .parallel import map_jobs
 from .pipeline import EvalSetting, annotate
-from .util import round_half_up
+from .util import round_half_up, tsv
 
 METRIC_ORDER = (
     "f1_words",
@@ -119,10 +119,8 @@ class EvalReport:
         return {name: getattr(self, name) for name in METRIC_ORDER}
 
     def to_tsv(self) -> str:
-        lines = ["metric\tvalue"]
-        for name, value in self.metrics().items():
-            lines.append(f"{name}\t{'' if value is None else format(value, '.1f')}")
-        return "\n".join(lines) + "\n"
+        rows = [(k, "" if v is None else format(v, ".1f")) for k, v in self.metrics().items()]
+        return tsv([("metric", "value"), *rows])
 
 
 def _f1(correct: int, gold_total: int, system_total: int) -> float:
@@ -293,24 +291,18 @@ def cross_validate(
 
 
 def cv_summary_tsv(summaries: dict[EvalSetting, FoldSummary]) -> str:
-    """metric rows x (mean, sd) columns per setting, table-style."""
-    settings = list(summaries)
-    header = ["metric"]
-    for s in settings:
-        header.extend([f"{s.value}_mean", f"{s.value}_sd"])
-    lines = ["\t".join(header)]
+    """metric rows x (mean, sd) columns per setting; empty cells where a setting lacks it."""
+    rows = [["metric", *(f"{s.value}_{stat}" for s in summaries for stat in ("mean", "sd"))]]
     for metric in METRIC_ORDER:
-        if not any(metric in summaries[s].means for s in settings):
-            continue
         row = [metric]
-        for s in settings:
-            if metric in summaries[s].means:
-                row.append(format(summaries[s].means[metric], ".1f"))
-                row.append(format(summaries[s].sds[metric], ".1f"))
+        for summary in summaries.values():
+            if metric in summary.means:
+                row += (format(summary.means[metric], ".1f"), format(summary.sds[metric], ".1f"))
             else:
-                row.extend(["", ""])
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+                row += ("", "")
+        if any(row[1:]):
+            rows.append(row)
+    return tsv(rows)
 
 
 @dataclass

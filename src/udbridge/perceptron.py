@@ -35,15 +35,15 @@ the float that summing every snapshot gives whenever that sum is exact
 
 Trained models score through frozen tables: compile_rows() turns a
 feature -> {class: weight} table into class-indexed rows once, and refuses
-NaN and infinite weights. The tagger sums those rows as floats in its own
-decoder, which starts from remembered per-form scores; each class's score
-is summed in feature order from 0.0, as predict_with() sums it, so their
-float sums round alike. The parser scales the rows to fixed-point ints and
-packs them into lanes (lane_bias() and pack() below), and sums the floats
-in feature order only for a decision whose lanes are too close to tell
-(see depparser.py). predict_with() is the float reference for predict()
-and both decoders on the dict form: all of them give ties to the earliest
-class.
+NaN and infinite weights. add_rows() is the float reference on those rows:
+it adds each feature's row in feature order from 0.0, as predict_with()
+adds a table in dict form. The tagger fills its per-form memo with
+add_rows() and adds a decision's other rows in the same order in its own
+decoder, so their float sums round alike. The parser scales the rows to
+fixed-point ints and packs them into lanes (lane_bias() and pack() below),
+and calls add_rows() only for a decision whose lanes are too close to tell
+(see depparser.py). predict(), predict_with() and both decoders give ties
+to the earliest class.
 """
 
 import sys
@@ -203,6 +203,20 @@ def predict_with(weights: dict[str, dict[str, float]], features: list[str], clas
         if s > best_score:
             best, best_score = cls, s
     return best
+
+
+def add_rows(rows: Rows, features: Iterable[str], n: int) -> list[float]:
+    """The scores of n classes: each feature's row added with +=, in
+    feature order from 0.0, as predict_with adds them. Not sum(): from
+    Python 3.12 it rounds float totals differently."""
+    scores = [0.0] * n
+    get = rows.get
+    for feat in features:
+        row = get(feat)
+        if row is not None:
+            for i, w in row:
+                scores[i] += w
+    return scores
 
 
 def compile_rows(weights: dict[str, dict[str, float]], classes: list[str]) -> Rows:

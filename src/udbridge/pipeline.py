@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .conllu import Document, Token, fits_column, parse_feats, serialize_conllu
-from .depparser import ParserModel, check_moves, train_parser
+from .depparser import ParserModel, train_parser
 from .errors import DataError
 from .lemmatizer import CASING_OPS, EditScript, LemmaRules, train_lemmatizer
 from .parallel import map_jobs
@@ -70,7 +70,7 @@ class PipelineModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # each FEATS class decoded once; `predict_columns` copies it per token
+        # each FEATS class decoded once; `predict_tokens` copies it per token
         self._feats = {label: parse_feats(label) for label in self.tagger.classes.get("feats", [])}
 
     def require_trained(self) -> None:
@@ -142,9 +142,6 @@ class PipelineModel:
                     raise DataError(f"tagger {attr} class {label!r} is not a valid column value")
             _field(tagger_weights, attr, dict, "tagger weights")
         parser = _field(payload, "parser", dict)
-        parser_classes = _classes(parser, "classes", "parser")
-        root_label = _field(parser, "root_label", str, "parser")
-        check_moves(parser_classes, root_label)
         rules: dict[tuple[str, str], dict[EditScript, int]] = {}
         for rule in _field(payload, "lemmatizer", list):
             if type(rule) is not list or list(map(type, rule)) != _RULE_TYPES:
@@ -160,9 +157,9 @@ class PipelineModel:
             lemma_rules=LemmaRules(rules),
             parser=ParserModel(
                 weights=_field(parser, "weights", dict, "parser"),
-                classes=parser_classes,
+                classes=_classes(parser, "classes", "parser"),
                 labels=_strings(parser, "labels", "parser"),
-                root_label=root_label,
+                root_label=_field(parser, "root_label", str, "parser"),
             ),
             tokenizer_cfg=TokenizerConfig(
                 abbreviations=set(_strings(tok, "abbreviations", "tokenizer")),
@@ -247,25 +244,17 @@ def train_pipeline(
     return model
 
 
-def predict_columns(model: PipelineModel, forms: list[str]):
-    """The tagger's and parser's decisions for one token sequence, decoded
-    as five lists with one entry per form: upos, xpos (None for "_"), a
-    feats dict, head and deprel. `annotate` and the direct and pivot
-    projections all predict through here."""
+def predict_tokens(model: PipelineModel, tokens: list[Token], forms: list[str]) -> None:
+    """Tag and parse `forms`, one per token, and write upos, xpos (None for
+    "_"), a fresh feats dict, head and deprel onto `tokens`, not the lemmas;
+    `annotate` and the direct and pivot projections predict through here."""
     predicted = model.tagger.predict(forms)
-    upos = predicted["upos"]
-    heads, deprels = model.parser.parse(forms, upos)
-    xpos = [None if x == "_" else x for x in predicted["xpos"]]
-    feats = [dict(model._feats[label]) for label in predicted["feats"]]
-    return upos, xpos, feats, heads, deprels
-
-
-def set_columns(tokens: list[Token], columns) -> None:
-    """Write `predict_columns` output onto tokens; lemmas are left alone."""
-    for tok, upos, xpos, feats, head, deprel in zip(tokens, *columns):
+    heads, deprels = model.parser.parse(forms, predicted["upos"])
+    columns = zip(tokens, predicted["upos"], predicted["xpos"], predicted["feats"], heads, deprels)
+    for tok, upos, xpos, feats, head, deprel in columns:
         tok.upos = upos
-        tok.xpos = xpos
-        tok.feats = feats
+        tok.xpos = None if xpos == "_" else xpos
+        tok.feats = dict(model._feats[feats])
         tok.head = head
         tok.deprel = deprel
 
@@ -303,7 +292,7 @@ def annotate(source, model: PipelineModel, setting: EvalSetting) -> Document:
                 tok.head = head
                 tok.deprel = deprel
         else:
-            set_columns(sent.tokens, predict_columns(model, forms))
+            predict_tokens(model, sent.tokens, forms)
             for tok in sent.tokens:
                 tok.lemma = model.lemma_rules.predict(tok.form, tok.upos)
     return doc

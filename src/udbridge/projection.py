@@ -26,9 +26,9 @@ from .aligner import AlignmentLink
 from .conllu import Document, serialize_conllu
 from .errors import DataError
 from .evaluation import ContingencyTable2x2, fisher_exact
-from .pipeline import PipelineModel, predict_columns, set_columns
+from .pipeline import PipelineModel, predict_tokens
 from .translate import TranslatorClient
-from .util import percentage
+from .util import percentage, tsv
 
 
 class Procedure(Enum):
@@ -65,7 +65,7 @@ def project_direct(doc: Document, model: PipelineModel) -> ProjectedDocument:
     out = doc.copy()
     provenance = []
     for sent in out.sentences:
-        set_columns(sent.tokens, predict_columns(model, [t.form for t in sent.tokens]))
+        predict_tokens(model, sent.tokens, [t.form for t in sent.tokens])
         provenance.append([TokenProvenance(Procedure.DIRECT) for _ in sent.tokens])
     return ProjectedDocument(document=out, procedure=Procedure.DIRECT, provenance=provenance)
 
@@ -80,7 +80,7 @@ def project_via_pivot(
     for sent in out.sentences:
         forms = [t.form for t in sent.tokens]
         pivot = translator.translate_sentence(forms)
-        set_columns(sent.tokens, predict_columns(model, pivot.pivot_tokens))
+        predict_tokens(model, sent.tokens, pivot.pivot_tokens)
         fallbacks = pivot.fallbacks or [False] * len(forms)
         provenance.append(
             [
@@ -237,14 +237,13 @@ class ProcedureComparison:
     pairwise: list[tuple[str, str, float]] = field(default_factory=list)
 
     def to_tsv(self) -> str:
-        lines = ["procedure\tcorrect\ttotal\tpercent"]
-        for name, correct, total, pct in self.rows:
-            lines.append(f"{name}\t{correct}\t{total}\t{pct:.1f}")
-        lines.append("")
-        lines.append("better\tworse\tfisher_p")
-        for better, worse, p in self.pairwise:
-            lines.append(f"{better}\t{worse}\t{p:.7f}")
-        return "\n".join(lines) + "\n"
+        return tsv([
+            ("procedure", "correct", "total", "percent"),
+            *((name, correct, total, f"{pct:.1f}") for name, correct, total, pct in self.rows),
+            (),
+            ("better", "worse", "fisher_p"),
+            *((better, worse, f"{p:.7f}") for better, worse, p in self.pairwise),
+        ])
 
 
 def compare_procedures(

@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .conllu import Document
 from .errors import DataError
-from .util import percentage
+from .util import percentage, tsv
 
 
 @dataclass
@@ -33,17 +33,12 @@ class GenreTable:
     total_sentences: int = 0
 
     def to_tsv(self) -> str:
-        lines = ["genre\ttokens\ttokens_pct\twords\twords_pct\tsentences\tsentences_pct"]
-        for r in self.rows:
-            lines.append(
-                f"{r.genre}\t{r.tokens}\t{r.tokens_pct}\t{r.words}\t{r.words_pct}"
-                f"\t{r.sentences}\t{r.sentences_pct}"
-            )
-        lines.append(
-            f"total\t{self.total_tokens}\t100\t{self.total_words}\t100"
-            f"\t{self.total_sentences}\t100"
-        )
-        return "\n".join(lines) + "\n"
+        return tsv([
+            ("genre", "tokens", "tokens_pct", "words", "words_pct", "sentences", "sentences_pct"),
+            *((r.genre, r.tokens, r.tokens_pct, r.words, r.words_pct, r.sentences, r.sentences_pct)
+              for r in self.rows),
+            ("total", self.total_tokens, 100, self.total_words, 100, self.total_sentences, 100),
+        ])
 
 
 def genre_table_from_counts(rows: list[tuple[str, int, int, int]]) -> GenreTable:
@@ -75,11 +70,9 @@ def genre_table_from_counts(rows: list[tuple[str, int, int, int]]) -> GenreTable
 def genre_distribution(docs: list[tuple[str, Document]]) -> GenreTable:
     """Count tokens/words/sentences per genre; words exclude PUNCT."""
     counted: dict[str, list[int]] = {}
-    order: list[str] = []
     for genre, doc in docs:
         if genre not in counted:
             counted[genre] = [0, 0, 0]
-            order.append(genre)
         bucket = counted[genre]
         for sent in doc.sentences:
             bucket[2] += 1
@@ -87,20 +80,18 @@ def genre_distribution(docs: list[tuple[str, Document]]) -> GenreTable:
                 bucket[0] += 1
                 if tok.upos != "PUNCT":
                     bucket[1] += 1
-    return genre_table_from_counts([(g, *counted[g]) for g in order])
+    return genre_table_from_counts([(g, *counts) for g, counts in counted.items()])
 
 
 def split_by_genre(doc: Document, default: str = "all") -> list[tuple[str, Document]]:
     """Group sentences by their genre comment (document order preserved)."""
     grouped: dict[str, Document] = {}
-    order: list[str] = []
     for sent in doc.sentences:
         genre = sent.genre or default
         if genre not in grouped:
             grouped[genre] = Document()
-            order.append(genre)
         grouped[genre].sentences.append(sent)
-    return [(g, grouped[g]) for g in order]
+    return list(grouped.items())
 
 
 def upos_frequencies(doc: Document) -> list[tuple[str, int]]:
@@ -179,5 +170,4 @@ def report_rows(doc: Document, report: str, top_n: int = 10, upos_filter: str | 
 
 def report_tsv(doc: Document, report: str, **options) -> str:
     """A report as TSV, its column names first; `options` go to report_rows."""
-    rows = [REPORT_COLUMNS[report], *report_rows(doc, report, **options)]
-    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    return tsv([REPORT_COLUMNS[report], *report_rows(doc, report, **options)])

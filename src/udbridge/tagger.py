@@ -9,12 +9,13 @@ predicted labels, and digit/capitalization flags.
 The first 11 features of a token (bias, w=, lw=, pre1..4 and suf1..4)
 depend on its form alone, and scores are summed in feature order. So a
 TaggerModel remembers, per form, each class's score after those 11
-features, and a decision only adds the rest to a copy. The sums are the
-same float additions in the same order as summing every feature from 0.0,
-so the tags are the same. Those 11 features must stay first, or the memo
-gives different tags. A TaggerModel fills its memo as forms come, with
-every form, known to the model or not: in cross-lingual use most forms are
-unseen, and they recur. It stores through util.remember, which bounds it.
+features (perceptron.add_rows, the float reference), and a decision only
+adds the rest to a copy. The sums are the same float additions in the
+same order as add_rows over every feature, so the tags are the same.
+Those 11 features must stay first, or the memo gives different tags. A
+TaggerModel fills its memo as forms come, with every form, known to the
+model or not: in cross-lingual use most forms are unseen, and they recur.
+It stores through util.remember, which bounds it.
 
 The two previous-label features (pt= and ppt=) depend on the model and on
 the two classes just chosen. So each attribute also has a history table,
@@ -33,7 +34,7 @@ from itertools import repeat
 
 from .conllu import Document
 from .errors import DataError
-from .perceptron import AveragedPerceptron, Rows, compile_rows
+from .perceptron import AveragedPerceptron, Rows, add_rows, compile_rows
 from .util import remember
 
 ATTRIBUTES = ("upos", "xpos", "feats")
@@ -78,19 +79,6 @@ def _with_history(context: Context, prev: str, prev2: str) -> list[str]:
 
 def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]:
     return _with_history(_context_features(forms, i), prev, prev2)
-
-
-def _add_scores(rows: Rows, features, scores: list[float]) -> list[float]:
-    """Add each feature's row into `scores` with +=, in feature order, like
-    predict_with. Not sum(): from Python 3.12 it rounds float totals
-    differently."""
-    get = rows.get
-    for feat in features:
-        row = get(feat)
-        if row is not None:
-            for i, w in row:
-                scores[i] += w
-    return scores
 
 
 # per (prev2, prev) class index, the pt= and ppt= pairs of that history
@@ -139,7 +127,7 @@ class TaggerModel:
             if entry is None:
                 feats = _form_features(w)
                 entry = remember(memo, w, tuple(
-                    tuple(_add_scores(rows, feats, [0.0] * len(classes)))
+                    tuple(add_rows(rows, feats, len(classes)))
                     for rows, classes, _ in tables
                 ) + (tuple(_tail(w)),))
             entries.append(entry)
@@ -153,7 +141,7 @@ class TaggerModel:
             prev = prev2 = len(classes)  # the pad
             tags = []
             for entry, pw, nw in zip(entries, map(get, pws, empty), map(get, nws, empty)):
-                # the loop of _add_scores, inlined: this is the hot path
+                # the loop of perceptron.add_rows, inlined: this is the hot path
                 scores = list(entry[k])
                 for pairs in (pw, nw, history[prev2][prev]):
                     for i, w in pairs:

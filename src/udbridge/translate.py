@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DataError
-from .util import read_text, write_atomically
+from .util import read_text, tsv, write_atomically
 
 
 # Words in a row whose attempts all failed before a client stops calling
@@ -80,8 +80,8 @@ class LexiconCache:
         if path is None:
             raise DataError("cache has no file path")
         with self._lock:
-            lines = [f"{k}\t{self._data[k]}" for k in sorted(self._data)]
-        write_atomically(path, "\n".join(lines) + ("\n" if lines else ""))
+            rows = sorted(self._data.items())
+        write_atomically(path, tsv(rows))
 
     def __len__(self) -> int:
         return len(self._data)

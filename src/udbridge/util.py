@@ -1,5 +1,5 @@
 """Small shared helpers: rounding, hashing, reading and writing text files,
-and the rule of the scoring memos."""
+the TSV layout and the rule of the scoring memos."""
 
 import contextlib
 import hashlib
@@ -61,6 +61,12 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from None
+
+
+def tsv(rows) -> str:
+    """Rows as TSV: values as str, joined by tabs, each row ended by a
+    newline (an empty row is a blank line)."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_atomically(path: str, text: str) -> None:

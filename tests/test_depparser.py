@@ -225,6 +225,16 @@ def test_single_token_parses_without_weights():
     assert model.parse(["x"], ["NOUN"]) == ([0], ["main"])
 
 
+def test_a_parser_model_checks_its_moves_when_built():
+    ParserModel()  # no classes: nothing to check
+    with pytest.raises(DataError, match="parser class 'zzz'"):
+        ParserModel(classes=["left:a", "right:a", "shift", "zzz"], labels=["a"])
+    with pytest.raises(DataError, match="'shift'"):
+        ParserModel(classes=["left:a", "right:a"], labels=["a"])
+    with pytest.raises(DataError, match="root_label"):
+        ParserModel(classes=["left:a", "right:a", "shift"], labels=["a"], root_label="a b")
+
+
 def test_parse_always_yields_single_rooted_projective_tree():
     labels = ["a", "b"]
     classes = sorted(

@@ -190,7 +190,7 @@ def test_lemma_memo_stays_within_its_bound(monkeypatch):
             assert 0 < len(rules._lemmas) <= 8
 
 
-def test_threads_sharing_one_set_of_rankings_get_fresh_lemmas():
+def test_threads_sharing_one_lemma_memo_get_fresh_lemmas():
     corpus = make_corpus(60, seed=3)
     queries = _lemma_queries()
     want = [train_lemmatizer(corpus).predict(form, upos) for form, upos in queries]
