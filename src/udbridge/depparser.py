@@ -285,8 +285,12 @@ class ParserModel:
 
         Runs the transitions of train_parser, with the moves open there,
         and picks each move as summing the rows of _node_feats in order
-        from 0.0 would (see the module docstring)."""
+        from 0.0 would (see the module docstring). A sentence of two or
+        more tokens needs an arc move: a model without one raises
+        DataError."""
         n = len(forms)
+        if n > 1 and len(self._moves) == 1:
+            raise DataError("the parser model has no arc move to attach tokens with")
         pforms, ptags = _padded(forms), _padded(tags)
         # the root (node 0) never fills a feature slot
         memo, token = self._tokens, self._token

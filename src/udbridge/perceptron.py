@@ -16,7 +16,9 @@ only: packed rows cannot hold fractions, and the sums are exact, so how
 sum() rounds floats (which changed in Python 3.12) does not matter. The
 `weights` property decodes the rows to feature -> {class index: weight};
 its setter takes integer-valued weights and raises DataError for anything
-else.
+else. Both trainers pass a prefix of the classes as the candidates, so
+predict() reads that prefix of the lanes as one list and takes the first
+index of its max.
 
 The tick counter advances once per training decision (update() call), also
 when the guess was correct. averaged() returns, for every feature/class,
@@ -132,11 +134,16 @@ class AveragedPerceptron:
 
     def predict(self, features: list[str], candidates: list[int]) -> int:
         """The highest-scoring of `candidates` (ascending indices); ties go
-        to the earliest."""
-        if len(candidates) == 1:
+        to the earliest. A prefix of the classes, as both trainers pass,
+        is read as one list of lanes; other candidates lane by lane."""
+        k = len(candidates)
+        if k == 1:
             return candidates[0]
         total = sum(filter(None, map(self._live.get, features)), self._bias)
         lanes = memoryview(total.to_bytes(self._nbytes, sys.byteorder)).cast("Q")
+        if candidates[-1] == k - 1:  # ascending, so candidates == range(k)
+            scores = lanes[:k].tolist()
+            return scores.index(max(scores))
         return max(candidates, key=lanes.__getitem__)
 
     def update(self, truth: int, guess: int, features: list[str]) -> None:

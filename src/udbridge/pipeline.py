@@ -218,17 +218,18 @@ def train_pipeline(
     """Train tagger, lemmatizer and parser on one gold corpus.
 
     The parser trains on gold tags, so it shares nothing with the tagger.
-    Training runs as two jobs: the tagger then the lemmatizer, and the
-    parser alone. Where there is a second process, the parser's job runs
-    on it. The two jobs take about as long; the lemmatizer is a small
-    share of the first, and moving it to the parser's job gained no more
-    than the spread of alternating benchmark runs. Errors come in the
-    order tagger, lemmatizer, parser, as in one process."""
+    Training runs as two jobs: the tagger then the lemmatizer; and the
+    parser then the corpus hash of the metadata. Where there is a second
+    process, the second job runs on it. The two jobs take about as long;
+    moving the lemmatizer to the parser's job gained no more than the
+    spread of alternating benchmark runs. Errors come in the order
+    tagger, lemmatizer, parser, as in one process."""
     jobs = [
         lambda: (train_tagger(train, dev, epochs=epochs, seed=seed), train_lemmatizer(train)),
-        lambda: train_parser(train, dev, epochs=epochs, seed=seed),
+        lambda: (train_parser(train, dev, epochs=epochs, seed=seed),
+                 short_hash(serialize_conllu(train).encode("utf-8"))),
     ]
-    (tagger, lemma_rules), parser = map_jobs(lambda job: job(), jobs)
+    (tagger, lemma_rules), (parser, corpus_hash) = map_jobs(lambda job: job(), jobs)
     model = PipelineModel(
         tagger=tagger,
         lemma_rules=lemma_rules,
@@ -238,7 +239,7 @@ def train_pipeline(
             "seed": seed,
             "epochs": epochs,
             "train_sentences": len(train.sentences),
-            "corpus_hash": short_hash(serialize_conllu(train).encode("utf-8")),
+            "corpus_hash": corpus_hash,
         },
     )
     return model

@@ -24,8 +24,17 @@ index n, the pt= pairs and then the ppt= pairs. A decision adds that entry
 where it added the two rows, and the decoder carries class indices,
 naming them once per sentence.
 
-With dev data, train_tagger scores a TaggerModel of each epoch's averages
-on dev UPOS and returns the best one as it is, as train_parser does.
+A TaggerModel tags only the attributes it has classes for. With dev data,
+train_tagger scores each epoch on dev UPOS alone, with a TaggerModel of
+the UPOS averages; XPOS and FEATS are averaged only at an epoch that
+becomes the best (the earliest wins ties), and the TaggerModel it returns
+is built once, at the end.
+
+In training, the 11 form features and the tail of each distinct form are
+built once and kept in a memo through util.remember, so it grows with the
+vocabulary and stays bounded; a token copies them and adds its pw= and
+nw= features. The pt= and ppt= features are built once per (prev2, prev)
+class index pair that training meets, not for every pair.
 """
 
 import random
@@ -65,20 +74,36 @@ def _tail(w: str) -> list[str]:
     return tail
 
 
-def _context_features(forms: list[str], i: int) -> Context:
-    head = _form_features(forms[i])
-    head.append("pw=" + (forms[i - 1].lower() if i > 0 else _PAD))
-    head.append("nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD))
-    return head, _tail(forms[i])
-
-
-def _with_history(context: Context, prev: str, prev2: str) -> list[str]:
-    head, tail = context
-    return head + ["pt=" + prev, "ppt=" + prev2 + "+" + prev] + tail
+def _neighbours(forms: list[str]) -> tuple[list[str], list[str]]:
+    """The pw= and the nw= feature of each token of `forms`."""
+    lowered = [w.lower() for w in forms]
+    pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
+    nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
+    return pws, nws
 
 
 def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]:
-    return _with_history(_context_features(forms, i), prev, prev2)
+    """The features of token i after the labels prev2 and prev, in the
+    order that training and TaggerModel add them."""
+    return _form_features(forms[i]) + [
+        "pw=" + (forms[i - 1].lower() if i > 0 else _PAD),
+        "nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD),
+        "pt=" + prev,
+        "ppt=" + prev2 + "+" + prev,
+    ] + _tail(forms[i])
+
+
+def _contexts(forms: list[str], memo: dict[str, Context]) -> list[Context]:
+    """Each token's Context. `memo` maps a form to its form features and
+    its tail, stored through util.remember; the first list is copied
+    before the pw= and nw= features join it."""
+    contexts = []
+    for w, pw, nw in zip(forms, *_neighbours(forms)):
+        entry = memo.get(w)
+        if entry is None:
+            entry = remember(memo, w, (_form_features(w), _tail(w)))
+        contexts.append((entry[0] + [pw, nw], entry[1]))
+    return contexts
 
 
 # per (prev2, prev) class index, the pt= and ppt= pairs of that history
@@ -106,11 +131,12 @@ class TaggerModel:
     classes: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # each attribute's decoding table (_table), in ATTRIBUTES order
-        self._tables = [
-            _table(self.weights.get(attr, {}), self.classes.get(attr, []))
-            for attr in ATTRIBUTES
-        ]
+        # the decoding table (_table) of each attribute with classes, in
+        # ATTRIBUTES order; predict() tags those attributes only
+        self._tables = {
+            attr: _table(self.weights.get(attr, {}), self.classes[attr])
+            for attr in ATTRIBUTES if self.classes.get(attr)
+        }
         # form -> per table, the class scores after its form features, then
         # its tail features; filled by util.remember, never saved.
         self._memo: dict[str, tuple] = {}
@@ -119,7 +145,8 @@ class TaggerModel:
         return self.predict(forms)[attribute]
 
     def predict(self, forms: list[str]) -> dict[str, list[str]]:
-        """Greedy left-to-right tags of `forms` per attribute."""
+        """Greedy left-to-right tags of `forms` per attribute that the
+        model has classes for."""
         tables, memo = self._tables, self._memo
         entries = []
         for w in forms:
@@ -128,15 +155,13 @@ class TaggerModel:
                 feats = _form_features(w)
                 entry = remember(memo, w, tuple(
                     tuple(add_rows(rows, feats, len(classes)))
-                    for rows, classes, _ in tables
+                    for rows, classes, _ in tables.values()
                 ) + (tuple(_tail(w)),))
             entries.append(entry)
-        lowered = [w.lower() for w in forms]
-        pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
-        nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
+        pws, nws = _neighbours(forms)
         empty = repeat(())
         out = {}
-        for k, (rows, classes, history) in enumerate(tables):
+        for k, (attr, (rows, classes, history)) in enumerate(tables.items()):
             get = rows.get
             prev = prev2 = len(classes)  # the pad
             tags = []
@@ -153,7 +178,7 @@ class TaggerModel:
                             scores[i] += w
                 prev2, prev = prev, scores.index(max(scores))
                 tags.append(prev)
-            out[ATTRIBUTES[k]] = [classes[i] for i in tags]
+            out[attr] = [classes[i] for i in tags]
         return out
 
 
@@ -183,9 +208,11 @@ def train_tagger(
     """Train the three attribute classifiers.
 
     Sentence order is reshuffled every epoch from `seed`. When a dev
-    document is given, the averaged snapshot of the epoch with the best dev
-    UPOS accuracy is returned (earliest epoch wins ties); otherwise the
-    final epoch's snapshot.
+    document is given, the averaged weights of the epoch with the best dev
+    UPOS accuracy are returned (earliest epoch wins ties); otherwise the
+    final epoch's. Dev is tagged by a TaggerModel of the UPOS averages
+    alone; XPOS and FEATS are averaged only at an epoch that becomes the
+    best, and the returned TaggerModel is built once, at the end.
     """
     if epochs < 1:
         raise DataError("epochs must be >= 1")
@@ -207,36 +234,47 @@ def train_tagger(
         attr: [[models[attr].index(lab) for lab in labels[attr]] for _, labels in data]
         for attr in ATTRIBUTES
     }
+    # form -> its form features and its tail (see _contexts)
+    form_memo: dict[str, Context] = {}
+    # per attribute, (prev2, prev) class index, the pad at the class count
+    # -> the pt= and ppt= features; only the pairs met are built
+    histories: dict[str, dict[tuple[int, int], list[str]]] = {attr: {} for attr in ATTRIBUTES}
     rng = random.Random(seed)
     order = list(range(len(data)))
 
     best_acc = -1.0
-    best = None
+    best = None  # the averaged weights of the dev-best epoch
     for _epoch in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            forms = data[idx][0]
-            contexts = [_context_features(forms, i) for i in range(len(forms))]
+            contexts = _contexts(data[idx][0], form_memo)
             for attr in ATTRIBUTES:
-                model = models[attr]
-                names, candidates = classes[attr], every[attr]
-                prev, prev2 = _PAD, _PAD
-                for context, truth in zip(contexts, gold[attr][idx]):
-                    feats = _with_history(context, prev, prev2)
+                model, candidates, history = models[attr], every[attr], histories[attr]
+                names = classes[attr] + [_PAD]
+                prev = prev2 = len(classes[attr])
+                for (head, tail), truth in zip(contexts, gold[attr][idx]):
+                    pair = history.get((prev2, prev))
+                    if pair is None:
+                        pair = history[prev2, prev] = [
+                            "pt=" + names[prev], "ppt=" + names[prev2] + "+" + names[prev]
+                        ]
+                    feats = head + pair + tail
                     guess = model.predict(feats, candidates)
                     model.update(truth, guess, feats)
-                    prev2, prev = prev, names[guess]
+                    prev2, prev = prev, guess
         if dev_data is not None:
-            snapshot = TaggerModel({attr: models[attr].averaged() for attr in ATTRIBUTES}, classes)
+            upos = models["upos"].averaged()
+            scorer = TaggerModel({"upos": upos}, {"upos": classes["upos"]})
             correct = total = 0
             for forms, labels in dev_data:
-                for got, want in zip(snapshot.predict(forms)["upos"], labels["upos"]):
+                for got, want in zip(scorer.predict(forms)["upos"], labels["upos"]):
                     correct += got == want
                     total += 1
             acc = correct / total
             if acc > best_acc:
                 best_acc = acc
-                best = snapshot
+                best = {"upos": upos, "xpos": models["xpos"].averaged(),
+                        "feats": models["feats"].averaged()}
     if best is None:
-        best = TaggerModel({attr: models[attr].averaged() for attr in ATTRIBUTES}, classes)
-    return best
+        best = {attr: models[attr].averaged() for attr in ATTRIBUTES}
+    return TaggerModel(best, classes)

@@ -401,3 +401,11 @@ def test_synth_templates_are_projective():
     for sent in make_corpus(40, seed=2).sentences:
         heads = [0] + [t.head for t in sent.tokens]
         assert is_projective(heads)
+
+
+def test_a_model_without_arc_moves_refuses_a_decision():
+    model = ParserModel()
+    assert model.parse(["x"], ["NOUN"]) == ([0], ["root"])
+    for forms in (["a", "b"], ["a", "b", "c"]):
+        with pytest.raises(DataError, match="no arc move"):
+            model.parse(forms, ["X"] * len(forms))

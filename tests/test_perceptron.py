@@ -248,3 +248,31 @@ def test_weights_read_back_what_update_made():
     assert got == {feat: list(row.items()) for feat, row in ref.weights.items()}
     assert p.weights["z"] == {0: 0, 3: 0}
     assert min(min(row.values()) for row in p.weights.values()) < 0
+
+
+def test_prefix_and_other_candidates_take_the_reference_argmax():
+    """predict reads a prefix of the classes (every class, or all but the
+    last, as the parser's arc moves) as one list of lanes, and any other
+    candidates lane by lane; both give predict_with's class, the earliest
+    on ties."""
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        p = AveragedPerceptron([f"c{i}" for i in range(n)])
+        # few values, most of them negative or zero, so ties are common
+        table = {
+            f"f{k}": {i: rng.choice((-3, -2, -1, 0, 1))
+                      for i in rng.sample(range(n), rng.randint(1, n))}
+            for k in range(5)
+        }
+        p.weights = table
+        named = {feat: {p.classes[i]: float(w) for i, w in row.items()}
+                 for feat, row in table.items()}
+        for _ in range(10):
+            feats = [f"f{rng.randrange(6)}" for _ in range(rng.randint(0, 6))]  # f5 has no row
+            every = list(range(n))
+            subsets = [every, every[:-1], every[1:], [rng.randrange(n)],
+                       sorted(rng.sample(every, rng.randint(1, n)))]
+            for cands in filter(None, subsets):
+                want = predict_with(named, feats, [p.classes[i] for i in cands])
+                assert p.classes[p.predict(feats, cands)] == want, (table, feats, cands)

@@ -1,10 +1,14 @@
 """Tagger tests: feature template, training convergence, snapshot rules."""
 
-import pytest
-from synth import make_corpus
+import random
 
+import pytest
+from synth import _crossing_corpus, make_corpus
+
+from udbridge import util
 from udbridge.errors import DataError
-from udbridge.tagger import token_features, train_tagger
+from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, token_features, train_tagger
+from udbridge.tokenizer import tokenize
 
 
 def test_feature_template_exact_contents():
@@ -87,3 +91,62 @@ def test_training_rejects_missing_upos_and_empty_doc():
         train_tagger(Document())
     with pytest.raises(DataError):
         train_tagger(make_corpus(5, seed=1), epochs=0)
+
+
+def _upos_only(model: TaggerModel) -> TaggerModel:
+    return TaggerModel({"upos": model.weights["upos"]}, {"upos": model.classes["upos"]})
+
+
+# The trained models and annotated texts of test_pipeline's golden bytes.
+@pytest.mark.parametrize("make, n, seed", [
+    (make_corpus, 60, 7), (make_corpus, 120, 11), (_crossing_corpus, 90, 7),
+])
+def test_a_upos_only_model_tags_upos_as_the_full_model_does(make, n, seed):
+    full = train_tagger(make(n, seed), make_corpus(20, seed=seed + 1), epochs=2)
+    upos = _upos_only(full)
+    texts = [make_corpus(20, seed=k) for k in (21, 22, 23)]
+    texts.append(tokenize("Jan fynt 12 x-beamen yn Ljouwert.\nDe kat sliept a b C."))
+    for doc in texts:
+        for sent in doc.sentences:
+            forms = [t.form for t in sent.tokens]
+            assert upos.predict(forms) == {"upos": full.predict(forms)["upos"]}
+
+
+def test_a_upos_only_model_tags_random_weights_with_ties_as_the_full_model_does():
+    rng = random.Random(29)
+    words = ("a", "Ab", "b2", "ab", "<s>")
+    for _ in range(40):
+        classes = {attr: rng.sample(["<s>", "A", "B", "C"], rng.randint(1, 4))
+                   for attr in ATTRIBUTES}
+        weights = {}
+        for attr, names in classes.items():
+            history = names + [_PAD]
+            feats = {feat for w in words for prev in history for prev2 in history
+                     for i in (0, 1) for feat in token_features([w, w], i, prev, prev2)}
+            # few values, so that equal scores (ties) are common
+            weights[attr] = {
+                feat: {cls: rng.choice((-1.0, 0.0, 0.5, 1.0))
+                       for cls in rng.sample(names, rng.randint(1, len(names)))}
+                for feat in sorted(feats) if rng.random() < 0.3
+            }
+        full = TaggerModel(weights, classes)
+        upos = _upos_only(full)
+        for _ in range(5):
+            forms = rng.choices(words, k=rng.randint(1, 8))
+            assert upos.predict(forms) == {"upos": full.predict(forms)["upos"]}
+
+
+def test_a_model_tags_only_the_attributes_it_has_classes_for():
+    assert TaggerModel().predict(["a"]) == {}
+    model = TaggerModel({"xpos": {"bias": {"n": 1.0}}}, {"xpos": ["n", "ww"], "feats": []})
+    assert model.predict(["a", "b"]) == {"xpos": ["n", "n"]}
+
+
+def test_training_gives_the_same_weights_when_the_form_memo_is_cleared(monkeypatch):
+    corpus = make_corpus(60, seed=5)
+    dev = make_corpus(15, seed=6)
+    want = train_tagger(corpus, dev, epochs=3)
+    monkeypatch.setattr(util, "MEMO_ENTRIES", 8)
+    got = train_tagger(corpus, dev, epochs=3)
+    assert got.weights == want.weights
+    assert got.classes == want.classes
