@@ -20,7 +20,8 @@ the float reference. ParserModel.parse picks the same moves from integers:
   perceptron.py. A packed row holds round(w * 2**K) in the lane of each of
   its weights w, and every lane starts from a bias of 2**63, so a
   decision's score is one sum of ints that C adds, exactly and in any
-  order. parse reads the lanes as unsigned 64-bit integers.
+  order. parse reads the lanes through perceptron.unpack, as unsigned
+  64-bit integers.
 - Scale. M is the largest |weight| of the model, and a decision has at
   most F = 23 features. K is chosen from math.frexp(M) so that
   F * (M * 2**K + 1) < 2**62; so no lane over- or underflows its 64 bits.
@@ -53,13 +54,12 @@ builds each decision's features with _node_feats.
 import math
 import random
 import re
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
 from .conllu import Document, Sentence
 from .errors import DataError
-from .perceptron import AveragedPerceptron, add_rows, compile_rows, lane_bias, pack
+from .perceptron import AveragedPerceptron, add_rows, compile_rows, lane_bias, pack, unpack
 from .util import remember
 
 SHIFT = "shift"
@@ -173,7 +173,7 @@ def check_moves(classes: list[str], root_label: str) -> None:
     """Parser classes must be shift and arc moves, left:<label> or right:<label>,
     and labels, the root label among them, non-empty without whitespace.
     So shift sorts after every arc move, which ParserModel.parse relies on."""
-    if SHIFT not in classes or len(classes) < 2:
+    if SHIFT not in classes or len(set(classes)) < 2:
         raise DataError("parser classes need 'shift' and an arc move")
     for move in classes:
         kind, _, label = move.partition(":")
@@ -192,18 +192,17 @@ _ROUNDOFF = 2.0**-53  # of a float addition, relative
 
 @dataclass
 class ParserModel:
-    weights: dict[str, dict[str, float]] = field(default_factory=dict)
-    classes: list[str] = field(default_factory=list)  # sorted, includes "shift"
+    weights: dict[str, dict[str, float]]
+    classes: list[str]  # sorted, includes "shift"
     labels: list[str] = field(default_factory=list)
     root_label: str = "root"
 
     def __post_init__(self):
-        if self.classes:
-            check_moves(self.classes, self.root_label)
-        # The moves scored (sorted, with "shift"), the weights frozen over
-        # them, and each move decoded as (kind, label); never saved. Every
-        # other move is left:<label> or right:<label>, so shift sorts last.
-        self._moves = sorted(set(self.classes) | {SHIFT})
+        check_moves(self.classes, self.root_label)
+        # The moves scored (sorted), the weights frozen over them, and each
+        # move decoded as (kind, label); never saved. Every move but shift
+        # is left:<label> or right:<label>, so shift sorts last.
+        self._moves = sorted(self.classes)
         rows = self._rows = compile_rows(self.weights, self._moves)
         self._decoded = [move.partition(":")[::2] for move in self._moves]
         # The fixed-point scale and the lead that certifies a lane argmax
@@ -214,7 +213,6 @@ class ParserModel:
         gamma = (_TERMS - 1) * _ROUNDOFF / (1 - (_TERMS - 1) * _ROUNDOFF)
         error = math.ceil(_TERMS + gamma * _TERMS * math.ldexp(top, self._shift))
         self._margin = 2 * error if math.isfinite(2.0 * _TERMS * top) else math.inf
-        self._nbytes = 8 * len(self._moves)
         # The packed tables parse() scores from; never saved. Per arc label
         # (and _NONE), the s0lc, s0rc, s1lc and s1rc rows; the dist rows by
         # distance; and four memos filled as tokens come, through
@@ -285,17 +283,13 @@ class ParserModel:
 
         Runs the transitions of train_parser, with the moves open there,
         and picks each move as summing the rows of _node_feats in order
-        from 0.0 would (see the module docstring). A sentence of two or
-        more tokens needs an arc move: a model without one raises
-        DataError."""
+        from 0.0 would (see the module docstring)."""
         n = len(forms)
-        if n > 1 and len(self._moves) == 1:
-            raise DataError("the parser model has no arc move to attach tokens with")
         pforms, ptags = _padded(forms), _padded(tags)
         # the root (node 0) never fills a feature slot
         memo, token = self._tokens, self._token
         tokens = [None] + [memo.get(key) or token(key) for key in zip(pforms[1:], ptags[1:])]
-        decoded, rows, margin, nbytes = self._decoded, self._rows, self._margin, self._nbytes
+        decoded, rows, margin = self._decoded, self._rows, self._margin
         triples, s0s1w = self._triples, self._s0s1w
         label_rows, dist_rows = self._label_rows, self._dist_rows
         heads = [0] * (n + 1)
@@ -337,7 +331,7 @@ class ParserModel:
                 + label_rows[lc.get(s1, _NONE)][2] + label_rows[rc.get(s1, _NONE)][3]
                 + dist_rows[min(s0 - s1, 5)]
             )
-            lanes = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast("Q").tolist()
+            lanes = unpack(total, len(decoded))
             if b0 > n:
                 lanes.pop()  # only the arc moves are open, and shift is last
             best = max(lanes)
@@ -423,10 +417,9 @@ def train_parser(
     )
     labels = sorted(label_set) if label_set else ["dep"]
     classes = sorted([SHIFT] + [f"left:{l}" for l in labels] + [f"right:{l}" for l in labels])
-    # shift sorts after every arc move (see check_moves)
+    # shift sorts after every arc move (see check_moves): the first `shift`
+    # classes are the arc moves
     shift = len(classes) - 1
-    arcs = list(range(shift))
-    every = arcs + [shift]
     dev_data = [_sentence_arrays(sent)[:3] for sent in dev.sentences] if dev is not None else []
 
     model = AveragedPerceptron(classes)
@@ -467,7 +460,7 @@ def train_parser(
                 # decision and ticks the perceptron.
                 if depth > 2:
                     feats = _node_feats(stack, b0, lc, rc, pforms, ptags)
-                    guess = model.predict(feats, every if b0 <= n else arcs)
+                    guess = model.predict(feats, shift + 1 if b0 <= n else shift)
                     model.update(model.index(truth), guess, feats)
                 elif truth == SHIFT:
                     model.update(shift, shift, ())

@@ -6,19 +6,17 @@ update() moves a row with one int add of (1 << 64 * truth) -
 (1 << 64 * guess). predict() adds up a decision's rows with one C-level
 sum() and adds a bias of 2**63 to every lane, so that class c's lane holds
 its score plus 2**63. While every score s obeys -2**63 <= s < 2**63, no lane
-borrows from or carries into its neighbour, and predict() reads the lanes
-as unsigned 64-bit integers and keeps the highest-scoring candidate, the
-earliest on ties. A weight moves by one per update, so a score is at most
-the number of updates times the number of features in a decision, far
-below 2**63 for any training run. The bias has one lane per class, so
-index() recomputes it when it adds a class. predict() scores int rows
-only: packed rows cannot hold fractions, and the sums are exact, so how
-sum() rounds floats (which changed in Python 3.12) does not matter. The
-`weights` property decodes the rows to feature -> {class index: weight};
-its setter takes integer-valued weights and raises DataError for anything
-else. Both trainers pass a prefix of the classes as the candidates, so
-predict() reads that prefix of the lanes as one list and takes the first
-index of its max.
+borrows from or carries into its neighbour, and unpack() reads the lanes
+as unsigned 64-bit integers; it is the one reader of lanes, for predict()
+and for ParserModel.parse. predict(features, k) keeps the highest-scoring
+of the first k classes, the earliest on ties: the tagger passes every
+class, and the parser every move or only the arc moves, which sort before
+shift. A weight moves by one per update, so a score is at most the number
+of updates times the number of features in a decision, far below 2**63
+for any training run. The bias has one lane per class, so index()
+recomputes it when it adds a class. predict() scores int rows only:
+packed rows cannot hold fractions, and the sums are exact, so how sum()
+rounds floats (which changed in Python 3.12) does not matter.
 
 The tick counter advances once per training decision (update() call), also
 when the guess was correct. averaged() returns, for every feature/class,
@@ -69,6 +67,11 @@ def lane_bias(n: int) -> int:
     return _HALF * (((1 << _LANE * n) - 1) // _MASK)
 
 
+def unpack(total: int, n: int) -> list[int]:
+    """The n lanes of a packed sum, as unsigned 64-bit integers."""
+    return memoryview(total.to_bytes(n * _LANE // 8, sys.byteorder)).cast("Q").tolist()
+
+
 def pack(pairs: Iterable[tuple[int, float]], shift: int) -> int:
     """(class index, weight) pairs as one int whose lane i holds the
     weights of class i, each times 2**shift rounded to an integer."""
@@ -85,13 +88,7 @@ class AveragedPerceptron:
         # class that the feature's row has held, in first-update order
         self._sums: dict[str, dict[int, int]] = {}
         self.ticks = 0
-        self._widen()
-
-    def _widen(self) -> None:
-        """Size the lane bias and predict()'s byte count to the classes."""
-        n = len(self.classes)
-        self._bias = lane_bias(n)
-        self._nbytes = n * _LANE // 8
+        self._bias = lane_bias(len(self.classes))
 
     def index(self, cls: str) -> int:
         """The index of `cls`; a class not seen before gets the next one."""
@@ -99,52 +96,18 @@ class AveragedPerceptron:
         if i is None:
             i = self._index[cls] = len(self.classes)
             self.classes.append(cls)
-            self._widen()
+            self._bias = lane_bias(len(self.classes))
         return i
 
-    @property
-    def weights(self) -> dict[str, dict[int, int]]:
-        """The live weights, feature -> {class index: weight}."""
-        out = {}
-        for feat, usum in self._sums.items():
-            row = self._live[feat] + self._bias
-            out[feat] = {i: ((row >> _LANE * i) & _MASK) - _HALF for i in usum}
-        return out
-
-    @weights.setter
-    def weights(self, table: dict[str, dict[int, int | float]]) -> None:
-        n = len(self.classes)
-        live: dict[str, int] = {}
-        sums: dict[str, dict[int, int]] = {}
-        for feat, row in table.items():
-            packed = 0
-            for i, w in row.items():
-                if type(i) is not int or not 0 <= i < n:
-                    raise DataError(f"class index {i!r} of feature {feat!r} is not in 0..{n - 1}")
-                if type(w) is float and w.is_integer():
-                    w = int(w)
-                if type(w) is not int or not -_HALF <= w < _HALF:
-                    raise DataError(
-                        f"weight {w!r} of feature {feat!r} is not an integer in [-2**63, 2**63)"
-                    )
-                packed += w << _LANE * i
-            live[feat] = packed
-            sums[feat] = dict.fromkeys(row, 0)
-        self._live, self._sums = live, sums
-
-    def predict(self, features: list[str], candidates: list[int]) -> int:
-        """The highest-scoring of `candidates` (ascending indices); ties go
-        to the earliest. A prefix of the classes, as both trainers pass,
-        is read as one list of lanes; other candidates lane by lane."""
-        k = len(candidates)
+    def predict(self, features: list[str], k: int) -> int:
+        """The highest-scoring of the first k classes; ties go to the
+        earliest."""
         if k == 1:
-            return candidates[0]
-        total = sum(filter(None, map(self._live.get, features)), self._bias)
-        lanes = memoryview(total.to_bytes(self._nbytes, sys.byteorder)).cast("Q")
-        if candidates[-1] == k - 1:  # ascending, so candidates == range(k)
-            scores = lanes[:k].tolist()
-            return scores.index(max(scores))
-        return max(candidates, key=lanes.__getitem__)
+            return 0
+        scores = unpack(sum(filter(None, map(self._live.get, features)), self._bias),
+                        len(self.classes))
+        del scores[k:]
+        return scores.index(max(scores))
 
     def update(self, truth: int, guess: int, features: list[str]) -> None:
         self.ticks += 1
@@ -169,10 +132,6 @@ class AveragedPerceptron:
         keyed by class name."""
         classes = self.classes
         ticks = self.ticks
-        if ticks == 0:
-            return {
-                f: {classes[i]: w for i, w in row.items()} for f, row in self.weights.items()
-            }
         after = ticks + 1
         bias, live = self._bias, self._live
         out: dict[str, dict[str, float]] = {}

@@ -70,12 +70,10 @@ class PipelineModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # each FEATS class decoded once; `predict_tokens` copies it per token
-        self._feats = {label: parse_feats(label) for label in self.tagger.classes.get("feats", [])}
-
-    def require_trained(self) -> None:
         if not self.tagger.classes.get("upos"):
             raise DataError("model has no trained tagger")
+        # each FEATS class decoded once; `predict_tokens` copies it per token
+        self._feats = {label: parse_feats(label) for label in self.tagger.classes.get("feats", [])}
 
     def save(self, path: str) -> None:
         payload = {
@@ -267,7 +265,6 @@ def annotate(source, model: PipelineModel, setting: EvalSetting) -> Document:
     and predicts everything above the token layer. GOLD_TOK_MORPH keeps
     gold lemma/upos/xpos/feats and only predicts heads and deprels.
     """
-    model.require_trained()
     if setting is EvalSetting.RAW_TEXT:
         if not isinstance(source, str):
             raise DataError("RAW_TEXT setting needs a raw text string")

@@ -61,7 +61,6 @@ class ProjectedDocument:
 
 def project_direct(doc: Document, model: PipelineModel) -> ProjectedDocument:
     """Annotate target tokens directly with the related-language model."""
-    model.require_trained()
     out = doc.copy()
     provenance = []
     for sent in out.sentences:
@@ -74,7 +73,6 @@ def project_via_pivot(
     doc: Document, model: PipelineModel, translator: TranslatorClient
 ) -> ProjectedDocument:
     """Translate word-for-word, annotate the pivot, copy back by position."""
-    model.require_trained()
     out = doc.copy()
     provenance = []
     for sent in out.sentences:

@@ -228,7 +228,6 @@ def train_tagger(
         for attr in ATTRIBUTES
     }
     models = {attr: AveragedPerceptron(classes[attr]) for attr in ATTRIBUTES}
-    every = {attr: list(range(len(classes[attr]))) for attr in ATTRIBUTES}
     # attribute -> gold label indices per sentence
     gold = {
         attr: [[models[attr].index(lab) for lab in labels[attr]] for _, labels in data]
@@ -249,9 +248,9 @@ def train_tagger(
         for idx in order:
             contexts = _contexts(data[idx][0], form_memo)
             for attr in ATTRIBUTES:
-                model, candidates, history = models[attr], every[attr], histories[attr]
+                model, history = models[attr], histories[attr]
                 names = classes[attr] + [_PAD]
-                prev = prev2 = len(classes[attr])
+                n = prev = prev2 = len(classes[attr])  # the class count, the pad's index
                 for (head, tail), truth in zip(contexts, gold[attr][idx]):
                     pair = history.get((prev2, prev))
                     if pair is None:
@@ -259,7 +258,7 @@ def train_tagger(
                             "pt=" + names[prev], "ppt=" + names[prev2] + "+" + names[prev]
                         ]
                     feats = head + pair + tail
-                    guess = model.predict(feats, candidates)
+                    guess = model.predict(feats, n)
                     model.update(truth, guess, feats)
                     prev2, prev = prev, guess
         if dev_data is not None:

@@ -5,7 +5,8 @@ with different data structures than the library (dense tables, exact
 rationals, plain token loops) so that agreement between the two is
 meaningful evidence rather than the same code run twice. It also holds
 helpers that only the tests call (an argmax over compiled weight rows, a
-projectivity check, a sentence's character spans), the tokenizer written
+projectivity check, a sentence's character spans, and the setting and
+reading of a perceptron's packed live weights), the tokenizer written
 over character offsets, and the arc-standard state machine, a _State
 stepped along oracle_move, that the parser's plain-list training and
 parsing are checked against.
@@ -19,7 +20,7 @@ from fractions import Fraction
 from udbridge.conllu import Document, Sentence, Token
 from udbridge.depparser import SHIFT, _NONE, _node_feats, _padded, _sentence_arrays, projectivize
 from udbridge.errors import DataError
-from udbridge.perceptron import AveragedPerceptron
+from udbridge.perceptron import AveragedPerceptron, lane_bias, unpack
 from udbridge.tokenizer import TokenizerConfig
 
 # --------------------------------------------------------- Fisher's exact
@@ -156,6 +157,26 @@ class SnapshotPerceptron:
             if total != 0.0:
                 out.setdefault(feat, {})[cls] = total / self.ticks
         return out
+
+
+def set_weights(p: AveragedPerceptron, table: dict[str, dict[int, int]]) -> None:
+    """Give `p` the live weights feature -> {class index: int weight}, as
+    if update() had made them: each row packed exactly as
+    sum(w << 64 * i), each running sum 0."""
+    p._live = {feat: sum(w << 64 * i for i, w in row.items()) for feat, row in table.items()}
+    p._sums = {feat: dict.fromkeys(row, 0) for feat, row in table.items()}
+
+
+def live_weights(p: AveragedPerceptron) -> dict[str, dict[int, int]]:
+    """The live weights of `p`, feature -> {class index: weight}, read
+    from its packed rows with unpack(), in the order its running sums
+    name the classes."""
+    n = len(p.classes)
+    out = {}
+    for feat, usum in p._sums.items():
+        lanes = unpack(p._live[feat] + lane_bias(n), n)
+        out[feat] = {i: lanes[i] - 2**63 for i in usum}
+    return out
 
 
 # ------------------------------------------- compiled rows and projectivity
@@ -317,7 +338,11 @@ def reference_train_parser(doc, epochs: int, seed: int) -> dict[str, dict[str, f
                 if open_moves is not None:
                     feats = _node_feats(state.stack, state.next_buf, state.lc, state.rc,
                                         pforms, ptags)
-                    guess = model.predict(feats, open_moves)
+                    # every move and the arc moves are prefixes of the
+                    # sorted moves; where only shift is open, it is taken
+                    # unscored
+                    guess = (shift_only[0] if open_moves is shift_only
+                             else model.predict(feats, len(open_moves)))
                     model.update(model.index(truth), guess, feats)
                 state.apply(truth, root_label)
     return model.averaged()

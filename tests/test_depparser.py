@@ -221,18 +221,18 @@ def test_oracle_delays_right_arc_until_children_attached():
 
 
 def test_single_token_parses_without_weights():
-    model = ParserModel(root_label="main")
+    model = ParserModel(weights={}, classes=["left:a", "right:a", "shift"], root_label="main")
     assert model.parse(["x"], ["NOUN"]) == ([0], ["main"])
 
 
 def test_a_parser_model_checks_its_moves_when_built():
-    ParserModel()  # no classes: nothing to check
     with pytest.raises(DataError, match="parser class 'zzz'"):
-        ParserModel(classes=["left:a", "right:a", "shift", "zzz"], labels=["a"])
-    with pytest.raises(DataError, match="'shift'"):
-        ParserModel(classes=["left:a", "right:a"], labels=["a"])
+        ParserModel({}, classes=["left:a", "right:a", "shift", "zzz"], labels=["a"])
+    for classes in ([], ["shift"], ["left:a", "right:a"]):
+        with pytest.raises(DataError, match="'shift' and an arc move"):
+            ParserModel({}, classes=classes, labels=["a"])
     with pytest.raises(DataError, match="root_label"):
-        ParserModel(classes=["left:a", "right:a", "shift"], labels=["a"], root_label="a b")
+        ParserModel({}, classes=["left:a", "right:a", "shift"], labels=["a"], root_label="a b")
 
 
 def test_parse_always_yields_single_rooted_projective_tree():
@@ -404,8 +404,7 @@ def test_synth_templates_are_projective():
 
 
 def test_a_model_without_arc_moves_refuses_a_decision():
-    model = ParserModel()
-    assert model.parse(["x"], ["NOUN"]) == ([0], ["root"])
-    for forms in (["a", "b"], ["a", "b", "c"]):
-        with pytest.raises(DataError, match="no arc move"):
-            model.parse(forms, ["X"] * len(forms))
+    """Such a model cannot be built, so no decision finds no arc move."""
+    for classes in ([], ["shift"], ["shift", "shift"]):
+        with pytest.raises(DataError, match="an arc move"):
+            ParserModel(weights={"bias": {"shift": 1.0}}, classes=classes)

@@ -229,9 +229,10 @@ def test_model_load_rejects_bad_files(tmp_path):
 
 
 def test_untrained_model_refuses_to_annotate():
-    empty = PipelineModel(tagger=TaggerModel(), lemma_rules=LemmaRules(), parser=ParserModel())
+    """A model without a trained tagger is refused when it is built."""
+    parser = ParserModel(weights={}, classes=["left:dep", "right:dep", "shift"])
     with pytest.raises(DataError, match="no trained tagger"):
-        annotate("Wat?", empty, EvalSetting.RAW_TEXT)
+        PipelineModel(tagger=TaggerModel(), lemma_rules=LemmaRules(), parser=parser)
 
 
 # -------------------------------------------------------------- annotation
