@@ -8,8 +8,14 @@ root attachment always uses the root label and skips scoring entirely, so
 a one-token sentence parses without consulting weights.
 
 Training follows the static oracle on a projectivized copy of the gold
-trees (non-projective arcs are repeatedly lifted to the grandparent);
-evaluation and reporting always use the original trees.
+trees; evaluation and reporting always use the original trees. An arc
+offends when a node strictly inside its span has its head outside the
+span. projectivize lifts offending arcs to the grandparent one at a time
+(Nivre and Nilsson 2005), the shortest span first, ties to the smaller
+dependent. A lift changes one head, so afterwards it checks again only the
+lifted arc and the arcs whose span strictly holds the lifted dependent and
+whose range check the move flips: those whose span holds exactly one of
+its old and its new head.
 
 The reference decoder picks the first of the highest-scoring open moves,
 where a move's score is the float sum of the rows of the decision's
@@ -54,10 +60,11 @@ builds each decision's features with _node_feats.
 import math
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .conllu import Document, Sentence
+from .conllu import Document, Sentence, validate_document
 from .errors import DataError
 from .perceptron import AveragedPerceptron, add_rows, compile_rows, lane_bias, pack, unpack
 from .util import remember
@@ -70,54 +77,67 @@ _ROOT = "<root>"
 _LABEL = re.compile(r"(?!_\Z)\S+")
 
 
+def head_cycles(heads: list[int]) -> Iterator[list[int]]:
+    """Yield each head cycle of the 1-based `heads` (heads[0] ignored, 0 the
+    root) in linear time, listed from the node where a walk entered it. The
+    walks start from nodes 1..n in turn, and each stops at the root or at a
+    node that an earlier walk met."""
+    walk = [0] * len(heads)  # per node, the start of the walk that met it
+    for start in range(1, len(heads)):
+        node = start
+        while node and not walk[node]:
+            walk[node] = start
+            node = heads[node]
+        if node and walk[node] == start:
+            cycle = [node]
+            while heads[cycle[-1]] != node:
+                cycle.append(heads[cycle[-1]])
+            yield cycle
+
+
 def validate_tree(sent: Sentence) -> None:
-    """Gold trees must be fully attached, single-rooted and acyclic."""
+    """Gold trees must be fully attached, pass conllu.validate_document (ids
+    1..n, heads in 0..n), and be single-rooted and acyclic."""
     label = sent.sent_id or "?"
-    n = len(sent.tokens)
-    heads = {}
     for tok in sent.tokens:
         if tok.head is None:
             raise DataError(f"sentence {label}: token {tok.id} has no head")
-        heads[tok.id] = tok.head
-    roots = [i for i, h in heads.items() if h == 0]
-    if len(roots) != 1:
-        raise DataError(
-            f"sentence {label}: expected exactly one root, found {len(roots)}"
-        )
-    for start in range(1, n + 1):
-        seen = set()
-        node = start
-        while node != 0:
-            if node in seen:
-                raise DataError(f"sentence {label}: head cycle through token {node}")
-            seen.add(node)
-            node = heads[node]
+    validate_document(Document([sent]))
+    heads = [0] + [tok.head for tok in sent.tokens]
+    roots = heads.count(0) - 1
+    if roots != 1:
+        raise DataError(f"sentence {label}: expected exactly one root, found {roots}")
+    for cycle in head_cycles(heads):
+        raise DataError(f"sentence {label}: head cycle through token {cycle[0]}")
 
 
 def projectivize(heads: list[int]) -> list[int]:
-    """Lift non-projective arcs to the grandparent until projective.
-
-    Works on 1-based heads (heads[0] ignored). Among offending arcs the
-    shortest span is lifted first, ties to the smaller dependent.
-    """
+    """Lift non-projective arcs to the grandparent until projective, in the
+    order and with the re-checks of the module docstring. Works on 1-based
+    heads (heads[0] ignored) and returns a new list."""
     heads = list(heads)
-    n = len(heads) - 1
-    while True:
-        offender: tuple[int, int] | None = None
-        for dep in range(1, n + 1):
-            h = heads[dep]
-            if h == 0:
-                continue
-            lo, hi = sorted((dep, h))
-            if all(lo <= heads[k] <= hi for k in range(lo + 1, hi)):
-                continue
-            key = (hi - lo, dep)
-            if offender is None or key < offender:
-                offender = key
-        if offender is None:
-            return heads
-        dep = offender[1]
-        heads[dep] = heads[heads[dep]]
+    bad: set[tuple[int, int]] = set()  # the offending arcs as (span, dependent)
+
+    def check(dep: int) -> None:
+        lo, hi = sorted((dep, heads[dep]))
+        if lo and not all(lo <= heads[k] <= hi for k in range(lo + 1, hi)):
+            bad.add((hi - lo, dep))
+
+    for dep in range(1, len(heads)):
+        check(dep)
+    while bad:
+        key = min(bad)
+        bad.remove(key)
+        dep = key[1]
+        old = heads[dep]
+        new = heads[dep] = heads[old]
+        check(dep)
+        for d, h in enumerate(heads):
+            lo, hi = (d, h) if d < h else (h, d)
+            if lo < dep < hi and (lo <= old <= hi) != (lo <= new <= hi):
+                bad.discard((hi - lo, d))
+                check(d)
+    return heads
 
 
 def _padded(values: list[str]) -> list[str]:

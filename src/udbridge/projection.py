@@ -24,6 +24,7 @@ from enum import Enum
 
 from .aligner import AlignmentLink
 from .conllu import Document, serialize_conllu
+from .depparser import head_cycles
 from .errors import DataError
 from .evaluation import ContingencyTable2x2, fisher_exact
 from .pipeline import PipelineModel, predict_tokens
@@ -103,7 +104,8 @@ def project_via_alignment(
     token with several links follows the lowest source index; several
     target tokens on one source share its annotations. Unaligned targets
     get upos=X, empty feats, and root/dep head fallback, as does any token
-    whose projected head cannot be mapped (or would self-loop or cycle).
+    whose projected head cannot be mapped (or would self-loop). The lowest
+    member of each head cycle (depparser.head_cycles) goes to the root as dep.
     """
     if len(source.sentences) != len(target.sentences):
         raise DataError(
@@ -168,7 +170,10 @@ def project_via_alignment(
                 tok.xpos = None
                 tok.feats = {}
                 prov.append(TokenProvenance(Procedure.ALIGNMENT, fallback=True))
-        _break_cycles(heads, deprels)
+        for cycle in head_cycles([0] + heads):
+            victim = min(cycle) - 1  # reroot the lowest member
+            heads[victim] = 0
+            deprels[victim] = "dep"
         for j, tok in enumerate(tgt_sent.tokens):
             tok.head = heads[j]
             tok.deprel = deprels[j]
@@ -176,26 +181,6 @@ def project_via_alignment(
     return ProjectedDocument(
         document=out, procedure=Procedure.ALIGNMENT, provenance=provenance
     )
-
-
-def _break_cycles(heads: list[int], deprels: list[str]) -> None:
-    """Reroot the lowest-index member of any head cycle (0-based arrays,
-    head values 1-based with 0 = root)."""
-    n = len(heads)
-    for start in range(n):
-        trail = []
-        seen = set()
-        node = start
-        while heads[node] != 0:
-            if node in seen:
-                cycle_start = trail.index(node)
-                victim = min(trail[cycle_start:])
-                heads[victim] = 0
-                deprels[victim] = "dep"
-                break
-            seen.add(node)
-            trail.append(node)
-            node = heads[node] - 1
 
 
 def score_procedure(gold: Document, projected: ProjectedDocument) -> tuple[int, int, float]:

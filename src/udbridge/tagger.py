@@ -51,8 +51,9 @@ ATTRIBUTES = ("upos", "xpos", "feats")
 _PAD = "<s>"
 _UNSET = "_"
 
-# A token's history-independent features: those token_features() lists
-# before the two previous-label features, and those it lists after them.
+# A token's history-independent features: its form features with pw= and
+# nw=, which come before the two previous-label features, and its tail
+# (hasdigit, cap), which comes after them.
 Context = tuple[list[str], list[str]]
 
 
@@ -80,17 +81,6 @@ def _neighbours(forms: list[str]) -> tuple[list[str], list[str]]:
     pws = ["pw=" + _PAD] + ["pw=" + lw for lw in lowered[:-1]]
     nws = ["nw=" + lw for lw in lowered[1:]] + ["nw=" + _PAD]
     return pws, nws
-
-
-def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]:
-    """The features of token i after the labels prev2 and prev, in the
-    order that training and TaggerModel add them."""
-    return _form_features(forms[i]) + [
-        "pw=" + (forms[i - 1].lower() if i > 0 else _PAD),
-        "nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD),
-        "pt=" + prev,
-        "ppt=" + prev2 + "+" + prev,
-    ] + _tail(forms[i])
 
 
 def _contexts(forms: list[str], memo: dict[str, Context]) -> list[Context]:

@@ -5,11 +5,12 @@ with different data structures than the library (dense tables, exact
 rationals, plain token loops) so that agreement between the two is
 meaningful evidence rather than the same code run twice. It also holds
 helpers that only the tests call (an argmax over compiled weight rows, a
-projectivity check, a sentence's character spans, and the setting and
-reading of a perceptron's packed live weights), the tokenizer written
-over character offsets, and the arc-standard state machine, a _State
-stepped along oracle_move, that the parser's plain-list training and
-parsing are checked against.
+projectivity check, a sentence's character spans, the tagger's feature
+template and the setting and reading of a perceptron's packed live
+weights), the tokenizer written over character offsets, the tree checks
+written with a walk from every token, and the arc-standard state
+machine, a _State stepped along oracle_move, that the parser's plain-list
+training and parsing are checked against.
 """
 
 import math
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from udbridge.conllu import Document, Sentence, Token
-from udbridge.depparser import SHIFT, _NONE, _node_feats, _padded, _sentence_arrays, projectivize
+from udbridge.depparser import SHIFT, _NONE, _node_feats, _padded, _sentence_arrays
 from udbridge.errors import DataError
 from udbridge.perceptron import AveragedPerceptron, lane_bias, unpack
+from udbridge.tagger import _PAD, _form_features, _tail
 from udbridge.tokenizer import TokenizerConfig
 
 # --------------------------------------------------------- Fisher's exact
@@ -216,6 +218,83 @@ def is_projective(heads: list[int]) -> bool:
     return True
 
 
+# ------------------------------------------------------------- tree checks
+# The parser's tree checks and the alignment projection's cycle breaking,
+# written the direct way: a walk to the root from every token, and a
+# rescan of every arc after each lift. depparser.validate_tree, projectivize
+# and the rerooting over depparser.head_cycles must agree with them.
+
+
+def validate_tree(sent: Sentence) -> None:
+    """Gold trees must be fully attached, single-rooted and acyclic."""
+    label = sent.sent_id or "?"
+    n = len(sent.tokens)
+    heads = {}
+    for tok in sent.tokens:
+        if tok.head is None:
+            raise DataError(f"sentence {label}: token {tok.id} has no head")
+        heads[tok.id] = tok.head
+    roots = [i for i, h in heads.items() if h == 0]
+    if len(roots) != 1:
+        raise DataError(
+            f"sentence {label}: expected exactly one root, found {len(roots)}"
+        )
+    for start in range(1, n + 1):
+        seen = set()
+        node = start
+        while node != 0:
+            if node in seen:
+                raise DataError(f"sentence {label}: head cycle through token {node}")
+            seen.add(node)
+            node = heads[node]
+
+
+def projectivize(heads: list[int]) -> list[int]:
+    """Lift non-projective arcs to the grandparent until projective.
+
+    Works on 1-based heads (heads[0] ignored). Among offending arcs the
+    shortest span is lifted first, ties to the smaller dependent.
+    """
+    heads = list(heads)
+    n = len(heads) - 1
+    while True:
+        offender: tuple[int, int] | None = None
+        for dep in range(1, n + 1):
+            h = heads[dep]
+            if h == 0:
+                continue
+            lo, hi = sorted((dep, h))
+            if all(lo <= heads[k] <= hi for k in range(lo + 1, hi)):
+                continue
+            key = (hi - lo, dep)
+            if offender is None or key < offender:
+                offender = key
+        if offender is None:
+            return heads
+        dep = offender[1]
+        heads[dep] = heads[heads[dep]]
+
+
+def _break_cycles(heads: list[int], deprels: list[str]) -> None:
+    """Reroot the lowest-index member of any head cycle (0-based arrays,
+    head values 1-based with 0 = root)."""
+    n = len(heads)
+    for start in range(n):
+        trail = []
+        seen = set()
+        node = start
+        while heads[node] != 0:
+            if node in seen:
+                cycle_start = trail.index(node)
+                victim = min(trail[cycle_start:])
+                heads[victim] = 0
+                deprels[victim] = "dep"
+                break
+            seen.add(node)
+            trail.append(node)
+            node = heads[node] - 1
+
+
 # ----------------------------------------------------- arc-standard state
 
 
@@ -346,6 +425,20 @@ def reference_train_parser(doc, epochs: int, seed: int) -> dict[str, dict[str, f
                     model.update(model.index(truth), guess, feats)
                 state.apply(truth, root_label)
     return model.averaged()
+
+
+# ------------------------------------------------------- tagger features
+
+
+def token_features(forms: list[str], i: int, prev: str, prev2: str) -> list[str]:
+    """The features of token i after the labels prev2 and prev, in the
+    order that training and TaggerModel add them."""
+    return _form_features(forms[i]) + [
+        "pw=" + (forms[i - 1].lower() if i > 0 else _PAD),
+        "nw=" + (forms[i + 1].lower() if i + 1 < len(forms) else _PAD),
+        "pt=" + prev,
+        "ppt=" + prev2 + "+" + prev,
+    ] + _tail(forms[i])
 
 
 # ------------------------------------------------------ character spans

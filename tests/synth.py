@@ -196,6 +196,24 @@ def _crossing_corpus(n: int, seed: int) -> Document:
     return doc
 
 
+def long_crossing_corpus(n_tokens: int, seed: int) -> Document:
+    """One sentence of n_tokens grammar-corpus tokens, each after the first
+    attached to one of the five tokens before it, so that short arcs cross
+    all along it. Token 1 is the root."""
+    rng = random.Random(seed)
+    tokens: list[Token] = []
+    while len(tokens) < n_tokens:
+        tokens += make_sentence(rng, "").tokens
+    del tokens[n_tokens:]
+    for i, tok in enumerate(tokens, 1):
+        tok.id = i
+        tok.head = rng.randint(max(1, i - 5), i - 1) if i > 1 else 0
+        tok.deprel = "root" if i == 1 else "dep" if tok.deprel == "root" else tok.deprel
+    sent = Sentence(tokens=tokens)
+    sent.sent_id = f"long-{seed}"
+    return Document([sent])
+
+
 def corpus_text(doc: Document) -> str:
     return "\n".join(sent.text() for sent in doc.sentences)
 

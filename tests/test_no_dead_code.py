@@ -13,7 +13,6 @@ PACKAGE = ROOT / "src" / "udbridge"
 
 # name -> why it stays although no code names it
 ALLOWED = {
-    "token_features": "the tests' reference template of the tagger's features",
     "predict_attribute": "pinned by the tracer",
     "predict_with": "the float reference argmax, pinned by the tracer",
     "log_message": "an http.server override",

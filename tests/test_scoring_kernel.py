@@ -6,7 +6,7 @@ import sys
 import threading
 
 import pytest
-from oracles import _State, best_index, set_weights
+from oracles import _State, best_index, set_weights, token_features
 from synth import make_corpus
 
 from udbridge import depparser
@@ -21,7 +21,7 @@ from udbridge.errors import DataError
 from udbridge.lemmatizer import LemmaRules
 from udbridge.perceptron import AveragedPerceptron, compile_rows, predict_with
 from udbridge.pipeline import EvalSetting, PipelineModel, annotate
-from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, token_features, train_tagger
+from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, train_tagger
 from udbridge.tokenizer import tokenize
 
 # Few distinct values, so that equal scores (ties) are common.

@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from oracles import token_features
 from synth import _crossing_corpus, make_corpus
 
 from udbridge import util
 from udbridge.errors import DataError
-from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, token_features, train_tagger
+from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, train_tagger
 from udbridge.tokenizer import tokenize
 
 
