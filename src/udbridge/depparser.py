@@ -516,7 +516,11 @@ def train_parser(
                 best_uas = uas
                 best = snapshot
     if best is None:
-        best = ParserModel(
+        return ParserModel(
             weights=model.averaged(), classes=classes, labels=labels, root_label=root_label
         )
+    # the dev snapshot goes without the memos that scoring dev filled, as
+    # a loaded model starts, so that a forked job sends back less
+    for memo in (best._tokens, best._tags, best._triples, best._s0s1w):
+        memo.clear()
     return best

@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from .conllu import Document, Token, fits_column, parse_feats, serialize_conllu
 from .depparser import ParserModel, train_parser
@@ -150,8 +151,11 @@ class PipelineModel:
                 raise DataError(f"lemmatizer rule {rule!r} needs a strip length >= 0, an append"
                                 f" a LEMMA can hold, a casing op in {CASING_OPS} and a frequency >= 1")
             rules.setdefault((suffix, upos), {})[EditScript(strip, append, casing)] = freq
+        tagger_model = TaggerModel(weights=tagger_weights, classes=tagger_classes)
+        for attr in ATTRIBUTES:
+            _check_rows(tagger_weights[attr], tagger_classes[attr], attr)
         return cls(
-            tagger=TaggerModel(weights=tagger_weights, classes=tagger_classes),
+            tagger=tagger_model,
             lemma_rules=LemmaRules(rules),
             parser=ParserModel(
                 weights=_field(parser, "weights", dict, "parser"),
@@ -196,6 +200,22 @@ def _strings(section: dict, key: str, where: str) -> list[str]:
     if not all(type(v) is str for v in values):
         raise DataError(f"{where} {key!r} must hold only strings")
     return values
+
+
+def _check_rows(rows: dict[str, dict], classes: list[str], attr: str) -> None:
+    """Refuse an empty tagger weight row and a weight for a class outside
+    `classes`: the tagger's tables leave both out, so `save` would not
+    write them back. The rows are dicts already (compile_rows checks)."""
+    known = set(classes)
+    if all(rows.values()) and known.issuperset(chain.from_iterable(rows.values())):
+        return
+    for feat, row in rows.items():
+        if not row:
+            raise DataError(f"tagger {attr} weight row of feature {feat!r} is empty")
+        for label in row:
+            if label not in known:
+                raise DataError(f"tagger {attr} weight of feature {feat!r} is for {label!r},"
+                                f" which is not a {attr} class")
 
 
 def _classes(section: dict, key: str, where: str) -> list[str]:

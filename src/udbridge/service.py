@@ -12,13 +12,15 @@ wait for the client's delayed ACK of the headers, about 40 ms a request.
 
 `serve` runs the server on one process per CPU. The process that bound the
 socket forks the others after loading the model, so they share its pages
-copy-on-write, and it alone accepts connections: it deals them round-robin
+copy-on-write (the heap is frozen first, so that no collection writes to
+them), and it alone accepts connections: it deals them round-robin
 to itself and to the workers, passing each one over a Unix socket pair, and
 a connection stays in the process it was dealt to. Dealing, rather than
 letting every process accept, spreads even two connections evenly, and
 a worker notices its parent's death as the end of its channel.
 """
 
+import gc
 import io
 import json
 import os
@@ -387,6 +389,10 @@ def serve(server: AnnotationServer) -> None:
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         if hasattr(socket, "send_fds") and can_fork():
+            # the collector writes to every object it visits, which would
+            # copy the shared model's pages into each process; frozen, it
+            # leaves what exists now alone
+            gc.freeze()
             for _ in range((os.cpu_count() or 1) - 1):
                 pids.append(_fork_worker(server))
         server.serve_forever()
@@ -395,6 +401,7 @@ def serve(server: AnnotationServer) -> None:
     finally:
         signal.signal(signal.SIGTERM, previous)
         stop(pids)
+        gc.unfreeze()
         for channel in server.channels:
             channel.close()
         server.server_close()

@@ -24,11 +24,15 @@ index n, the pt= pairs and then the ppt= pairs. A decision adds that entry
 where it added the two rows, and the decoder carries class indices,
 naming them once per sentence.
 
-A TaggerModel tags only the attributes it has classes for. With dev data,
+A TaggerModel compiles its weights into these tables when it is built
+and keeps the tables only: its `weights` are rebuilt from the rows,
+for PipelineModel.save and for tests, and give the same saved bytes.
+It tags only the attributes it has classes for. With dev data,
 train_tagger scores each epoch on dev UPOS alone, with a TaggerModel of
 the UPOS averages; XPOS and FEATS are averaged only at an epoch that
-becomes the best (the earliest wins ties), and the TaggerModel it returns
-is built once, at the end.
+becomes the best (the earliest wins ties). The TaggerModel it returns
+takes the UPOS table of the best epoch's scorer and compiles the XPOS
+and FEATS tables once, at the end.
 
 In training, the 11 form features and the tail of each distinct form are
 built once and kept in a memo through util.remember, so it grows with the
@@ -38,7 +42,6 @@ class index pair that training meets, not for every pair.
 """
 
 import random
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .conllu import Document
@@ -115,21 +118,38 @@ def _table(weights: dict[str, dict[str, float]], classes: list[str]) -> Table:
     return rows, classes, history
 
 
-@dataclass
 class TaggerModel:
-    weights: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
-    classes: dict[str, list[str]] = field(default_factory=dict)
+    """The decoding tables of a tagger. It compiles `weights`, feature ->
+    class -> weight dicts per attribute, when it is built and keeps only
+    the tables; `weights` rebuilds the dicts from them."""
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        weights: dict[str, dict[str, dict[str, float]]] | None = None,
+        classes: dict[str, list[str]] | None = None,
+        tables: dict[str, Table] | None = None,
+    ):
+        weights, tables = weights or {}, tables or {}
+        self.classes = classes or {}
         # the decoding table (_table) of each attribute with classes, in
-        # ATTRIBUTES order; predict() tags those attributes only
+        # ATTRIBUTES order, taken from `tables` or built from `weights`;
+        # predict() tags those attributes only
         self._tables = {
-            attr: _table(self.weights.get(attr, {}), self.classes[attr])
+            attr: tables.get(attr) or _table(weights.get(attr, {}), self.classes[attr])
             for attr in ATTRIBUTES if self.classes.get(attr)
         }
         # form -> per table, the class scores after its form features, then
         # its tail features; filled by util.remember, never saved.
         self._memo: dict[str, tuple] = {}
+
+    @property
+    def weights(self) -> dict[str, dict[str, dict[str, float]]]:
+        """Feature -> class -> weight per attribute, rebuilt from the
+        tables; {} for an attribute without classes."""
+        weights: dict[str, dict[str, dict[str, float]]] = {attr: {} for attr in ATTRIBUTES}
+        for attr, (rows, classes, _) in self._tables.items():
+            weights[attr] = {feat: {classes[i]: w for i, w in pairs} for feat, pairs in rows.items()}
+        return weights
 
     def predict_attribute(self, forms: list[str], attribute: str) -> list[str]:
         return self.predict(forms)[attribute]
@@ -202,7 +222,8 @@ def train_tagger(
     UPOS accuracy are returned (earliest epoch wins ties); otherwise the
     final epoch's. Dev is tagged by a TaggerModel of the UPOS averages
     alone; XPOS and FEATS are averaged only at an epoch that becomes the
-    best, and the returned TaggerModel is built once, at the end.
+    best. The returned TaggerModel takes that epoch's UPOS table from its
+    scorer and compiles the other two once, at the end.
     """
     if epochs < 1:
         raise DataError("epochs must be >= 1")
@@ -232,7 +253,9 @@ def train_tagger(
     order = list(range(len(data)))
 
     best_acc = -1.0
-    best = None  # the averaged weights of the dev-best epoch
+    # the dev-best epoch's UPOS table, which its scorer built, and its
+    # XPOS and FEATS averages
+    best = None
     for _epoch in range(epochs):
         rng.shuffle(order)
         for idx in order:
@@ -262,8 +285,9 @@ def train_tagger(
             acc = correct / total
             if acc > best_acc:
                 best_acc = acc
-                best = {"upos": upos, "xpos": models["xpos"].averaged(),
-                        "feats": models["feats"].averaged()}
+                best = scorer._tables, {"xpos": models["xpos"].averaged(),
+                                        "feats": models["feats"].averaged()}
     if best is None:
-        best = {attr: models[attr].averaged() for attr in ATTRIBUTES}
-    return TaggerModel(best, classes)
+        return TaggerModel({attr: models[attr].averaged() for attr in ATTRIBUTES}, classes)
+    tables, weights = best
+    return TaggerModel(weights, classes, tables)

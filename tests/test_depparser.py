@@ -408,3 +408,11 @@ def test_a_model_without_arc_moves_refuses_a_decision():
     for classes in ([], ["shift"], ["shift", "shift"]):
         with pytest.raises(DataError, match="an arc move"):
             ParserModel(weights={"bias": {"shift": 1.0}}, classes=classes)
+
+
+def test_a_parser_trained_with_dev_returns_without_its_memos():
+    model = train_parser(make_corpus(40, seed=1), dev=make_corpus(10, seed=2), epochs=2)
+    memos = (model._tokens, model._tags, model._triples, model._s0s1w)
+    assert not any(memos)
+    model.parse(["De", "man", "rint", "."], ["DET", "NOUN", "VERB", "PUNCT"])
+    assert model._tokens and model._tags and model._triples

@@ -149,6 +149,30 @@ def test_reloaded_model_annotates_like_the_trained_one(payload, tmp_path):
     assert json.loads((tmp_path / "again.json").read_text(encoding="utf-8")) == payload
 
 
+@pytest.mark.parametrize("attr", ["upos", "xpos", "feats"])
+def test_tagger_weight_for_an_unknown_class_is_a_data_error(payload, tmp_path, attr):
+    # the tagger's tables leave such a weight out, so save would drop it
+    bad = json.loads(json.dumps(payload))
+    weights = bad["tagger"]["weights"][attr]
+    feat = first_row(weights)
+    weights[feat]["Zzz"] = 0.5
+    path = write(tmp_path, bad)
+    want = (f"malformed model: tagger {attr} weight of feature {feat!r} is for 'Zzz',"
+            f" which is not a {attr} class")
+    with pytest.raises(DataError, match=re.escape(want)):
+        PipelineModel.load(path)
+    code, err = annotate_exit(path)
+    assert code == 2 and err.startswith("error: ") and repr(feat) in err
+
+
+def test_empty_tagger_weight_row_is_a_data_error(payload, tmp_path):
+    bad = json.loads(json.dumps(payload))
+    bad["tagger"]["weights"]["xpos"]["w=Zzz"] = {}
+    with pytest.raises(DataError, match="malformed model: tagger xpos weight row of feature"
+                                        " 'w=Zzz' is empty"):
+        PipelineModel.load(write(tmp_path, bad))
+
+
 @pytest.mark.parametrize("index, value", [
     (2, -3),  # a negative strip length appended to the whole form
     (4, "weird"),  # an unknown casing op was taken for "keep"

@@ -142,6 +142,20 @@ def test_trained_model_bytes_are_golden(make, n, seed, sha256, tmp_path):
         assert any("right:root" in row for row in trained.parser.weights.values())
 
 
+@pytest.mark.parametrize("make, n, seed", [
+    (make_corpus, 60, 7),
+    (make_corpus, 120, 11),
+    (_crossing_corpus, 90, 7),
+])
+def test_a_loaded_model_saves_the_bytes_it_was_read_from(make, n, seed, tmp_path):
+    # the golden models above; the tagger's weights are rebuilt from its
+    # tables at each save
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    train_pipeline(make(n, seed), make_corpus(20, seed=seed + 1), epochs=2).save(str(first))
+    PipelineModel.load(str(first)).save(str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
 # Held-out text beyond the grammar: unseen forms, digits, capitals and
 # one-letter words.
 _UNSEEN_LINES = (

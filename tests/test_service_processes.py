@@ -1,6 +1,7 @@
 """The service on one process per CPU: `service.serve` in this process, and
 real `udbridge serve` processes watched through /proc."""
 
+import gc
 import http.client
 import json
 import os
@@ -84,6 +85,17 @@ def test_serve_forks_one_worker_per_further_cpu(model_path, two_cpus):
     assert len(seen[0]) == 1 and seen[0][0].fileno() == -1
     assert srv.socket.fileno() == -1
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_serve_freezes_the_heap_while_it_runs_forked(model_path, two_cpus):
+    # so that no collection writes to the pages the workers share
+    srv = make_server(ServiceConfig(bind="127.0.0.1:0", model_path=model_path))
+    frozen = []
+    srv.serve_forever = lambda: frozen.append(gc.get_freeze_count())
+    service.serve(srv)
+    assert len(two_cpus) == 1
+    assert frozen[0] > 0
+    assert gc.get_freeze_count() == 0
 
 
 # ------------------------------------------------------------- processes

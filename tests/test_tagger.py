@@ -6,8 +6,9 @@ import pytest
 from oracles import token_features
 from synth import _crossing_corpus, make_corpus
 
-from udbridge import util
+from udbridge import tagger, util
 from udbridge.errors import DataError
+from udbridge.perceptron import compile_rows
 from udbridge.tagger import _PAD, ATTRIBUTES, TaggerModel, train_tagger
 from udbridge.tokenizer import tokenize
 
@@ -151,3 +152,47 @@ def test_training_gives_the_same_weights_when_the_form_memo_is_cleared(monkeypat
     got = train_tagger(corpus, dev, epochs=3)
     assert got.weights == want.weights
     assert got.classes == want.classes
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_training_with_dev_compiles_each_table_once(monkeypatch, epochs):
+    # one UPOS table per epoch for the dev scorer, which the returned model
+    # takes from the best epoch, then the XPOS and FEATS tables
+    calls = []
+
+    def counting(weights, classes):
+        calls.append(1)
+        return compile_rows(weights, classes)
+
+    monkeypatch.setattr(tagger, "compile_rows", counting)
+    train_tagger(make_corpus(60, seed=1), make_corpus(20, seed=2), epochs=epochs)
+    assert len(calls) == epochs + 2
+    calls.clear()
+    train_tagger(make_corpus(60, seed=1), epochs=epochs)
+    assert len(calls) == 3
+
+
+def _weight_dicts(node, seen=None) -> int:
+    """How many dicts reachable from `node` through dicts, lists and
+    tuples map a key to a dict of numbers: weight tables in dict form."""
+    seen = set() if seen is None else seen
+    if id(node) in seen or not isinstance(node, (dict, list, tuple)):
+        return 0
+    seen.add(id(node))
+    values = list(node.values()) if isinstance(node, dict) else node
+    found = isinstance(node, dict) and any(
+        isinstance(v, dict) and v and all(type(w) in (int, float) for w in v.values())
+        for v in values)
+    return found + sum(_weight_dicts(v, seen) for v in values)
+
+
+def test_a_trained_model_keeps_its_tables_only():
+    model = train_tagger(make_corpus(60, seed=1), make_corpus(20, seed=2), epochs=2)
+    model.predict(["De", "man", "rint", "."])
+    assert _weight_dicts(vars(model)) == 0
+    assert _weight_dicts(model.weights) == len(ATTRIBUTES)
+    # built from dicts, as PipelineModel.load builds it
+    again = TaggerModel(model.weights, model.classes)
+    assert _weight_dicts(vars(again)) == 0
+    assert again.weights == model.weights
+    assert TaggerModel().weights == {attr: {} for attr in ATTRIBUTES}
